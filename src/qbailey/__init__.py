@@ -5,8 +5,8 @@ with exact rational coefficients; comparisons are coefficientwise equality
 strictly below an explicit truncation order, with no tolerances anywhere.
 """
 
-from .errors import (BadParam, InvertZero, NegativeN, PoleError, QBaileyError,
-                     TruncationUnreachable, UnknownIdentity, UnsupportedLimit)
+from .errors import (BadParam, CertificateViolation, InvertZero, NegativeN, PoleError,
+                     QBaileyError, TruncationUnreachable, UnknownIdentity, UnsupportedLimit)
 from .series import INF, Series, first_diff, series_equal
 from .qparams import QParam, parse_qparam
 from .qfunctions import (esym, jacobi_triple, jtp_sum, poch, poch_recip,

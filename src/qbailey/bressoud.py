@@ -15,17 +15,13 @@ independent route through the same identity.
 from __future__ import annotations
 
 from .errors import BadParam, PoleError, TruncationUnreachable
-from .qparams import QParam
-from .qfunctions import FactorProduct, fp_pp, poch, poch_recip, poch_val
+from .qparams import Q, QParam
+from .qfunctions import (FactorProduct, _expand, _poch_monos, fp_pp, poch, poch_recip,
+                         poch_val, sign)
 from .multisum import MultisumSpec, multisum_eval
 from .series import INF, Series, product_at
 
-_Q = QParam.finite(1, 2)
 _STREAK = 4
-
-
-def _sign(k):
-    return 1 if k % 2 == 0 else -1
 
 
 def _pp_floor(p: QParam, s: int):
@@ -102,16 +98,13 @@ def _times_a_quotient(fp, a: QParam, j: int):
     if kind == "zero":
         t0 = -arg.halves // 2  # (1 - arg q^{t0}) is the vanishing factor
         fp.times_factor(arg, 2 * t0, den=True)
-        head = arg
-        rest_head_val, _ = poch_val(head, t0)
-        tail = arg.q_shift(2 * (t0 + 1))
-        rest_tail_val, _ = poch_val(tail, INF)
+        rest_val = _a_quotient_floor(a, j)
 
-        def rest_recip(c, h=head, t=tail, n=t0, vh=rest_head_val, vt=rest_tail_val):
-            prod = poch(h, n, c + 2 * (vh + vt)) * poch(t, INF, c + 2 * (vh + vt))
-            return prod.invert(c)
+        def rest_recip(c, p=arg, v=rest_val):
+            monos, _ = _poch_monos(p, INF, 2, c - v)
+            return _expand((), [m for m in monos if m != (1, 0)], c)  # all but q^0
 
-        fp.times_lazy(rest_recip, -(rest_head_val + rest_tail_val))
+        fp.times_lazy(rest_recip, rest_val)
         return fp
     fp.times_lazy(lambda c, p=arg: poch_recip(p, INF, c), -v)
     return fp
@@ -227,7 +220,7 @@ def bressoud_lhs(k, r, a, c1, c2, bs, cutoff) -> Series:
 
     def term(chain, cut):
         fp = FactorProduct()
-        fp.times_scalar(_sign(chain[0]))
+        fp.times_scalar(sign(chain[0]))
         for d in range(1, depth + 1):
             s = chain[d - 1]
             fp.times_param_pow(a, s)
@@ -242,7 +235,7 @@ def bressoud_lhs(k, r, a, c1, c2, bs, cutoff) -> Series:
                 fp.times_poch(a / p1, chain[d - 2], den=True)
                 fp.times_poch(a / p2, chain[d - 2], den=True)
             if d >= 2:
-                fp.times_poch(_Q, chain[d - 2] - s, den=True)
+                fp.times_poch(Q, chain[d - 2] - s, den=True)
         s_last = chain[depth - 1]
         if virtual:
             p1, p2 = pair_params(r)
@@ -250,7 +243,7 @@ def bressoud_lhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             fp.times_poch(a / p1, s_last, den=True)
             fp.times_poch(a / p2, s_last, den=True)
         fp.times_poch(aq_c1c2, s_last)
-        fp.times_poch(_Q, s_last, den=True)
+        fp.times_poch(Q, s_last, den=True)
         fp.times_poch(aq_c1, s_last, den=True)
         fp.times_poch(aq_c2, s_last, den=True)
         return fp.series(cut)
@@ -296,7 +289,7 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             fp_pp(fp, c, j)
             fp.times_poch(a.q_shift(2) / c, j, den=True)
         _times_a_quotient(fp, a, j)
-        fp.times_poch(_Q, j, den=True)
+        fp.times_poch(Q, j, den=True)
         if all_inf:
             _bracket_all_inf(fp, a, j, r - 1)
         else:
@@ -425,7 +418,7 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
             fp.times_param_pow(a, s)
             fp.times_qpow(2 * s * s - (2 * s if d <= r - 1 else 0))
             if d >= 2:
-                fp.times_poch(_Q, chain[d - 2] - s, den=True)
+                fp.times_poch(Q, chain[d - 2] - s, den=True)
         ins = q1s(bs[0], chain[0])
         if ins is not None:
             fp.times_poch(*ins)
@@ -439,7 +432,7 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
                     fp.times_poch(*got)
         s_last = chain[depth - 1]
         fp.times_poch(aq_c1c2, s_last)
-        fp.times_poch(_Q, s_last, den=True)
+        fp.times_poch(Q, s_last, den=True)
         fp.times_poch(aq_c1, s_last, den=True)
         fp.times_poch(aq_c2, s_last, den=True)
         base_v = fp.val_bound()

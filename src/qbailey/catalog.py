@@ -17,18 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParam, UnknownIdentity
-from .qparams import QParam
+from .qparams import ONE, Q, QParam
 from .qfunctions import (FactorProduct, fp_pp, poch, poch_recip, poch_val,
-                         qbinom, triple_product)
+                         qbinom, sign, triple_product)
 from .multisum import MultisumSpec, multisum_eval
 from .series import INF, Series, first_diff, product_at
 from . import bressoud
-
-_Q = QParam.finite(1, 2)
-
-
-def _sign(k):
-    return 1 if k % 2 == 0 else -1
 
 
 def _neg(h):
@@ -42,7 +36,7 @@ def _tp(mod_halves, z_halves, cutoff) -> Series:
 
 def _over_qinf(body: Series, cutoff) -> Series:
     return product_at(cutoff, [
-        (lambda c: poch_recip(_Q, INF, c), 0),
+        (lambda c: poch_recip(Q, INF, c), 0),
         (lambda c: body, body.val()),
     ])
 
@@ -177,7 +171,7 @@ def _v_rr(p):
 def _lhs_rr(p, cutoff):
     i = p["i"]
     spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + (1 - i) * s),
-                       tail=lambda fp, ch: fp.times_poch(_Q, ch[0], den=True))
+                       tail=lambda fp, ch: fp.times_poch(Q, ch[0], den=True))
     return multisum_eval(spec, cutoff)
 
 
@@ -205,7 +199,7 @@ def _lhs_ag(p, cutoff):
     spec = _chain_spec(
         r - 1, 0,
         lambda d, s: 2 * s * s + (2 * s if d >= i else 0),
-        tail=lambda fp, ch: fp.times_poch(_Q, ch[-1], den=True))
+        tail=lambda fp, ch: fp.times_poch(Q, ch[-1], den=True))
     return multisum_eval(spec, cutoff)
 
 
@@ -228,7 +222,7 @@ def _lhs_br33(p, cutoff):
     spec = _chain_spec(
         r - 1, 0,
         lambda d, s: 2 * s * s - (2 * s if d <= i else 0),
-        tail=lambda fp, ch: fp.times_poch(_Q, ch[-1], den=True))
+        tail=lambda fp, ch: fp.times_poch(Q, ch[-1], den=True))
     return multisum_eval(spec, cutoff)
 
 
@@ -255,7 +249,7 @@ def _shifted_binom_tail(fp, m, s, base=2, with_csq=False):
     if b.is_zero_below_cutoff():
         fp.times_scalar(0)
         return
-    fp.times_scalar(_sign(s))
+    fp.times_scalar(sign(s))
     if with_csq:
         fp.times_qpow(s * (s - 1))
     fp.times_series(b)
@@ -355,13 +349,13 @@ def _rhs_mb(p, cutoff):
     m, r, i = p["m"], p["r"], p["i"]
     if m % 2 == 0:
         mm = m // 2
-        terms = [(Fraction(_sign(l), 2), 4 * mm * k + 4 * mm * l, 4 * r,
+        terms = [(Fraction(sign(l), 2), 4 * mm * k + 4 * mm * l, 4 * r,
                   2 * (2 * mm * (r - 1) + r - i + 2 * k + 2 * l))
                  for k in range(i + 1) for l in range(2 * mm + 1)]
         return _tail_qinf(terms, cutoff)
     mm = (m - 1) // 2
     pre = 2 * ((2 - r) * mm * mm + (1 + i - r) * mm)
-    terms = [(_sign(mm), pre + 4 * l, 4 * r, 2 * (2 * r - 2 * mm - 1 - i + 4 * l))
+    terms = [(sign(mm), pre + 4 * l, 4 * r, 2 * (2 * r - 2 * mm - 1 - i + 4 * l))
              for l in range(mm + 1)]
     return _tail_qinf(terms, cutoff)
 
@@ -569,7 +563,7 @@ def _lhs_b37(p, cutoff):
 
 def _rhs_b37(p, cutoff):
     r, i = p["r"], p["i"]
-    return _b3x_rhs([(_sign(k), 2 * k, 8 * r, 2 * (2 * i + 1 - 2 * k))
+    return _b3x_rhs([(sign(k), 2 * k, 8 * r, 2 * (2 * i + 1 - 2 * k))
                      for k in range(i + 1)], cutoff)
 
 
@@ -686,7 +680,7 @@ def _rhs_mbr37(p, cutoff):
     if m % 2 == 0:
         mm = m // 2
         one_plus = Series.one() + Series.monomial(1, 2 * mm)  # 1 + q^m
-        terms = [(Fraction(_sign(l), 2), 4 * mm * k + 2 * mm * l, 4 * r,
+        terms = [(Fraction(sign(l), 2), 4 * mm * k + 2 * mm * l, 4 * r,
                   2 * (2 * mm * r + r - i - mm + 2 * k + l))
                  for k in range(i + 1) for l in range(2 * mm + 1)]
     else:
@@ -697,9 +691,9 @@ def _rhs_mbr37(p, cutoff):
         for k in range(i + 1):
             for l in range(mm + 1):
                 h = pre + 2 * k + 2 * l
-                terms.append((Fraction(_sign(mm), 2), h, 4 * r,
+                terms.append((Fraction(sign(mm), 2), h, 4 * r,
                               2 * (2 * r - i - mm + 2 * k + 2 * l) - 1))
-                terms.append((Fraction(-_sign(mm), 2), h + 1, 4 * r,
+                terms.append((Fraction(-sign(mm), 2), h + 1, 4 * r,
                               2 * (2 * r - i - mm + 2 * k + 2 * l) + 1))
     body = _tail_qinf(terms, cutoff)
     return product_at(cutoff, [
@@ -744,14 +738,14 @@ def _rhs_mbr38(p, cutoff):
     m, r, i = p["m"], p["r"], p["i"]
     if m % 2 == 0:
         mm = m // 2
-        terms = [(Fraction(_sign(l), 2), 2 * mm * (k + l), 4 * r,
+        terms = [(Fraction(sign(l), 2), 2 * mm * (k + l), 4 * r,
                   2 * (2 * mm * r + r - i - mm + k + l))
                  for k in range(2 * i + 1) for l in range(2 * mm + 1)]
         pre = _neg(2 * mm)
     else:
         mm = (m - 1) // 2
         h0 = 2 * (1 - r) * mm * mm + (1 + 2 * i - 2 * r) * mm
-        terms = [(_sign(mm), h0 + 2 * l, 4 * r,
+        terms = [(sign(mm), h0 + 2 * l, 4 * r,
                   2 * (2 * r - i - mm + 2 * l) - 1) for l in range(mm + 1)]
         pre = _neg(2 * mm + 1)
     body = _tail_qinf(terms, cutoff)
@@ -793,14 +787,14 @@ def _rhs_mbr39(p, cutoff):
     m, r, i = p["m"], p["r"], p["i"]
     if m % 2 == 0:
         mm = m // 2
-        terms = [(Fraction(_sign(l), 2), 2 * mm * (k + l), 4 * r - 2,
+        terms = [(Fraction(sign(l), 2), 2 * mm * (k + l), 4 * r - 2,
                   2 * (2 * mm * r + r - i - 2 * mm + k + l) - 1)
                  for k in range(2 * i + 1) for l in range(2 * mm + 1)]
         pre = _neg(2 * mm)
     else:
         mm = (m - 1) // 2
         h0 = (3 - 2 * r) * mm * mm + 2 * (1 + i - r) * mm
-        terms = [(_sign(mm), h0 + 2 * l, 4 * r - 2,
+        terms = [(sign(mm), h0 + 2 * l, 4 * r - 2,
                   2 * (2 * r - i - mm + 2 * l) - 3) for l in range(mm + 1)]
         pre = _neg(2 * mm + 1)
     body = _tail_qinf(terms, cutoff)
@@ -831,7 +825,7 @@ def _lhs_new1(p, cutoff, with_half_tail=False):
             fp.times_poch(_neg(1), ch[-1], den=True)
 
     spec = _chain_spec(r - 1, 0, expo, extra=extra,
-                       tail=lambda fp, ch: fp.times_poch(_Q, ch[-1], den=True))
+                       tail=lambda fp, ch: fp.times_poch(Q, ch[-1], den=True))
     return multisum_eval(spec, cutoff)
 
 
@@ -921,13 +915,13 @@ def _lhs_lambda1(p, cutoff):
         return e
 
     def extra(fp, ch):
-        fp.times_scalar(_sign(ch[0]))
+        fp.times_scalar(sign(ch[0]))
         fp.times_param_pow(a, sum(ch))
         fp_pp(fp, b1, ch[0])
 
     def tail(fp, ch):
         s = ch[-1]
-        fp.times_poch(_Q, s, den=True)
+        fp.times_poch(Q, s, den=True)
         fp.times_poch(aq_c1c2, s)
         fp.times_poch(aq_c1, s, den=True)
         fp.times_poch(aq_c2, s, den=True)
@@ -961,7 +955,7 @@ def _rhs_lambda1(p, cutoff):
             fp_pp(fp, c, j)
             fp.times_poch(a.q_shift(2) / c, j, den=True)
         bressoud._times_a_quotient(fp, a, j)
-        fp.times_poch(_Q, j, den=True)
+        fp.times_poch(Q, j, den=True)
         # the bracket is 1 + a^i q^{(2i-1)j} (1-b1 q^j)/(b1 (1-a q^j/b1));
         # at b1 = oo it collapses to 1 - X^i with X = a q^{2j}
         if b1.is_infinite:
@@ -1035,7 +1029,7 @@ def _latroute_lhs(p, cutoff, twisted):
         return e
 
     def extra(fp, ch):
-        fp.times_scalar(_sign(ch[0]))
+        fp.times_scalar(sign(ch[0]))
         fp.times_param_pow(a, sum(ch))
         fp_pp(fp, rho1, ch[0])
         for d in range(2, i + 1):
@@ -1049,7 +1043,7 @@ def _latroute_lhs(p, cutoff, twisted):
 
     def tail(fp, ch):
         s = ch[-1]
-        fp.times_poch(_Q, s, den=True)
+        fp.times_poch(Q, s, den=True)
         fp.times_poch(aq_rs, s)
         fp.times_poch(aq_r, s, den=True)
         fp.times_poch(aq_s, s, den=True)
@@ -1100,7 +1094,7 @@ def _latroute_rhs(p, cutoff, twisted):
             fp_pp(fp, c, j)
             fp.times_poch(a.q_shift(2) / c, j, den=True)
         bressoud._times_a_quotient(fp, a, j)
-        fp.times_poch(_Q, j, den=True)
+        fp.times_poch(Q, j, den=True)
         if all_inf:
             bressoud._bracket_all_inf(fp, a, j, i - 1 if twisted else i)
             return fp
@@ -1221,39 +1215,37 @@ def specialization_table():
     target identity -- both sides, coefficient by coefficient.
     """
     inf = QParam.infinity()
-    one = QParam.finite(1, 0)
-    q = QParam.finite(1, 2)
     rows = [
         {"label": "ag", "source": {"r": 3, "i": 2, "b1": inf, "c1": inf,
-                                   "c2": inf, "a": q},
+                                   "c2": inf, "a": Q},
          "scale": 1, "multiplier": None, "target": "ag",
          "target_params": {"r": 3, "i": 2}},
         {"label": "br33", "source": {"r": 3, "i": 2, "b1": inf, "c1": inf,
-                                     "c2": inf, "a": one},
+                                     "c2": inf, "a": ONE},
          "scale": 1, "multiplier": None, "target": "br33",
          "target_params": {"r": 3, "i": 1}},
         {"label": "bressoud_even", "source": {"r": 3, "i": 2, "b1": inf,
-                                              "c1": _neg(2), "c2": inf, "a": q},
+                                              "c1": _neg(2), "c2": inf, "a": Q},
          "scale": 1, "multiplier": None, "target": "bressoud_even",
          "target_params": {"r": 3, "i": 2}},
         {"label": "br35", "source": {"r": 3, "i": 2, "b1": inf, "c1": _neg(0),
-                                     "c2": inf, "a": one},
+                                     "c2": inf, "a": ONE},
          "scale": 1, "multiplier": None, "target": "br35",
          "target_params": {"r": 3, "i": 1}},
         {"label": "b36", "source": {"r": 3, "i": 2, "b1": inf, "c1": _neg(1),
-                                    "c2": inf, "a": one},
+                                    "c2": inf, "a": ONE},
          "scale": 2, "multiplier": "neg_q_qsq", "target": "b36",
          "target_params": {"r": 3, "i": 1}},
         {"label": "b37", "source": {"r": 3, "i": 2, "b1": inf, "c1": _neg(1),
-                                    "c2": inf, "a": q},
+                                    "c2": inf, "a": Q},
          "scale": 2, "multiplier": "neg_q3_qsq", "target": "b37",
          "target_params": {"r": 3, "i": 1}},
         {"label": "b38", "source": {"r": 3, "i": 2, "b1": _neg(1), "c1": inf,
-                                    "c2": inf, "a": q},
+                                    "c2": inf, "a": Q},
          "scale": 2, "multiplier": None, "target": "b38",
          "target_params": {"r": 3, "i": 1}},
         {"label": "b39", "source": {"r": 3, "i": 2, "b1": _neg(1), "c1": _neg(2),
-                                    "c2": inf, "a": q},
+                                    "c2": inf, "a": Q},
          "scale": 2, "multiplier": None, "target": "b39",
          "target_params": {"r": 3, "i": 1}},
     ]

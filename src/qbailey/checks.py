@@ -21,7 +21,8 @@ from fractions import Fraction
 from .errors import QBaileyError
 from .qparams import QParam
 from .pairs import make_pair, pairs_agree, verify_pair
-from .series import Series, product_at
+from .qfunctions import poch_recip
+from .series import product_at
 from . import transforms as T
 
 _COEFF_POOL = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2),
@@ -48,7 +49,6 @@ def preflight_ok(derived) -> bool:
 
 def _draw_case(name, rng):
     """(pair, params, derived-args-to-validate) for one soundness trial."""
-    q = QParam.finite(1, 2)
     if name in ("key1", "key2", "general", "lattice", "new_lattice"):
         m = rng.choice([1, 3])
         pair = make_pair("shifted", m=m)
@@ -193,8 +193,7 @@ def composition_checks(name=None, seed=0, cutoff=36):
                             -4, 4, cutoff))
 
     def general_combo():
-        one = Series.one()
-        c1 = (one - b.monomial()).invert(cutoff + 8)
+        c1 = poch_recip(b, 1, cutoff + 8)  # 1/(1 - b)
         c2 = c1.times_monomial(-b.coeff, b.halves)
         combo = _scaled_pair_combo(T.key1(shifted1), c1, T.key2(shifted1), c2,
                                    cutoff)

@@ -106,7 +106,9 @@ def cmd_verify(args) -> int:
     else:
         n_matched = len(set(report.lhs.terms) | set(report.rhs.terms))
         verdict = "PASS" if report.passed else "FAIL"
-        print(f"{verdict} {name} {report.params} cutoff=x^{args.cutoff} "
+        shown = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
+                         for k, v in payload["params"].items())
+        print(f"{verdict} {name} {shown} cutoff=x^{args.cutoff} "
               f"({n_matched} coefficients, {report.runtime_ms:.0f} ms)")
         if not report.passed:
             print(f"  first divergence: {report.first_divergence}", file=sys.stderr)

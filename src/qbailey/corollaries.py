@@ -24,17 +24,12 @@ with i lattice-side steps, classical and q-twisted variants) at a single n.
 from __future__ import annotations
 
 from .errors import BadParam, PoleError, TruncationUnreachable
-from .qparams import QParam
-from .qfunctions import FactorProduct, fp_pp, poch, poch_recip, poch_val
+from .qparams import Q, QParam
+from .qfunctions import FactorProduct, fp_pp, poch, poch_recip, poch_val, sign
 from .pairs import BaileyPair, VerifyReport
 from .series import INF, Series, first_diff, product_at
 
-_Q = QParam.finite(1, 2)
 _STREAK = 4
-
-
-def _sign(k):
-    return 1 if k % 2 == 0 else -1
 
 
 def _geom(a: QParam, j: int, top: int) -> Series:
@@ -166,13 +161,13 @@ def _corollary_lhs(pair, r, i, b, c, cutoff, bc):
             fp.times_param_pow(a, s)
             if bc and (d == 1 or d == r):
                 fp.times_qpow(s * s + s - 2 * s * (1 if d <= i else 0))
-                fp.times_scalar(_sign(s))
+                fp.times_scalar(sign(s))
                 p = b if d == 1 else c
                 fp_pp(fp, p if p is not None else QParam.infinity(), s)
             else:
                 fp.times_qpow(2 * s * s - 2 * s * (1 if d <= i else 0))
             if d >= 2:
-                fp.times_poch(_Q, chain[d - 2] - s, den=True)
+                fp.times_poch(Q, chain[d - 2] - s, den=True)
         if aq_c is not None:
             fp.times_poch(aq_c, chain[r - 2], den=True)
         s_r = chain[r - 1]
@@ -306,7 +301,7 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
                 fp.times_poch((aq / rd) / sd, s_prev - s)
                 fp.times_poch(aq / rd, s_prev, den=True)
                 fp.times_poch(aq / sd, s_prev, den=True)
-            fp.times_poch(_Q, s_prev - s, den=True)
+            fp.times_poch(Q, s_prev - s, den=True)
             s_prev = s
 
     out = Series.zero()
@@ -371,7 +366,7 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
     if twisted:
         # alpha_0/((q)_n (a)_n) + sum_{j=1..n} ...
         fp0 = FactorProduct()
-        fp0.times_poch(_Q, n, den=True)
+        fp0.times_poch(Q, n, den=True)
         fp0.times_poch(a, n, den=True)
         out = out + product_at(cutoff, [
             (lambda c: fp0.series(c), fp0.val_bound()),
@@ -389,7 +384,7 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             lattice_block(fp, j)
             fp.times_factor(a, 0)
             fp.times_poch(a, n + j, den=True)
-            fp.times_poch(_Q, n - j, den=True)
+            fp.times_poch(Q, n - j, den=True)
             chain_factor(fp, jj)
             fp.times_factor(a, 4 * jj, den=True)
             if twisted:

@@ -17,6 +17,10 @@ class TruncationUnreachable(QBaileyError):
     """A sum or product could not be certified to truncate below the cutoff."""
 
 
+class CertificateViolation(QBaileyError):
+    """A computed series has a term below its certified valuation bound."""
+
+
 class BadParam(QBaileyError):
     """Parameter outside the documented domain."""
 

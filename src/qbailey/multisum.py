@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import TruncationUnreachable
+from .errors import CertificateViolation, TruncationUnreachable
 from .series import INF, Series
 
 
@@ -50,8 +50,9 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
         nonlocal out, added
         t = spec.term(tuple(chain), cutoff)
         floor = spec.val_floor(chain)
-        assert not t.terms or min(t.terms) >= floor, \
-            f"multisum floor {floor} exceeds term valuation {t.val()} at {tuple(chain)}"
+        if t.terms and min(t.terms) < floor:
+            raise CertificateViolation(
+                f"multisum floor {floor} exceeds term valuation {t.val()} at {tuple(chain)}")
         out = out + t
         added += 1
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParam, PoleError, TruncationUnreachable
-from .qparams import QParam
-from .qfunctions import FactorProduct, poch, poch_recip, poch_val, qbinom
+from .errors import BadParam, CertificateViolation, PoleError, TruncationUnreachable
+from .qparams import Q, QParam
+from .qfunctions import FactorProduct, poch, poch_recip, poch_val, qbinom, sign
 from .series import INF, Series, first_diff, product_at
 
-_Q = QParam.finite(1, 2)
 _STREAK = 4  # consecutive beyond-cutoff bounds required before stopping
 
 
@@ -84,8 +83,9 @@ class BilateralSequence:
             got = self._eval(n, cutoff)
             bound = self.val_bound(n)
             # An empty truncated series only certifies val >= its cutoff.
-            assert not got.terms or min(got.terms) >= bound, \
-                f"{self.name}: val {got.val()} below certificate {bound} at n={n}"
+            if got.terms and min(got.terms) < bound:
+                raise CertificateViolation(
+                    f"{self.name}: val {got.val()} below certificate {bound} at n={n}")
             self._cache[key] = got
         return got
 
@@ -141,7 +141,7 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
         streak = 0
         out = out + product_at(cutoff, [
             (lambda c, jj=j: pair.alpha(jj, c), alpha.val_bound(j)),
-            (lambda c, d=n - j: poch_recip(_Q, d, c), 0),
+            (lambda c, d=n - j: poch_recip(Q, d, c), 0),
             (lambda c, k=n + j: poch_recip(aq, k, c), -v_aq),
         ])
         j -= 1
@@ -198,10 +198,10 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
             continue
         streak = 0
         fp = FactorProduct()
-        fp.times_scalar(1 if d % 2 == 0 else -1)
+        fp.times_scalar(sign(d))
         fp.times_qpow(d * (d - 1))
         fp.times_poch(a, n + j)
-        fp.times_poch(_Q, d, den=True)
+        fp.times_poch(Q, d, den=True)
         out = out + product_at(inner_cut, [
             (lambda c, f=fp: f.series(c), fp.val_bound()),
             (lambda c, jj=j: beta(jj, c), beta.val_bound(j)),
@@ -263,11 +263,11 @@ def _unit_pair(a: QParam) -> BaileyPair:
 
     def coeff(n):
         fp = FactorProduct()
-        fp.times_scalar(1 if n % 2 == 0 else -1)
+        fp.times_scalar(sign(n))
         fp.times_qpow(n * (n - 1))
         fp.times_factor(a, 4 * n)
         fp.times_poch(a.q_shift(2), n - 1)
-        fp.times_poch(_Q, n, den=True)
+        fp.times_poch(Q, n, den=True)
         return fp
 
     def alpha(n, cutoff):
@@ -296,16 +296,16 @@ def _shifted_pair(m: int) -> BaileyPair:
     # Relative to a = q^m; genuinely bilateral (alpha never vanishes).
     if m < 0:
         raise BadParam("shifted pair needs m >= 0")
-    qm = poch(_Q, m)
+    qm = poch(Q, m)
 
     def alpha(n, cutoff):
-        return Series.monomial(1 if n % 2 == 0 else -1, n * (n - 1))
+        return Series.monomial(sign(n), n * (n - 1))
 
     def beta(n, cutoff):
         b = qbinom(m + n, m + 2 * n)
         if b.is_zero_below_cutoff():
             return Series.zero()
-        return (b * qm).times_monomial(1 if n % 2 == 0 else -1, n * (n - 1))
+        return (b * qm).times_monomial(sign(n), n * (n - 1))
 
     return BaileyPair(
         QParam.finite(1, 2 * m),
@@ -326,12 +326,12 @@ def _general_m_pair(a: QParam, m: int) -> BaileyPair:
 
     def coeff(n):
         fp = FactorProduct()
-        fp.times_scalar(1 if (n + m) % 2 == 0 else -1)
+        fp.times_scalar(sign(n + m))
         fp.times_qpow((n + m) * (n + m - 1))
         fp.times_factor(a, 4 * n)
         fp.times_factor(a, 0, den=True)
         fp.times_poch(a, n - m)
-        fp.times_poch(_Q, n + m, den=True)
+        fp.times_poch(Q, n + m, den=True)
         return fp
 
     return BaileyPair(
@@ -358,7 +358,7 @@ def _shifted_d4_pair(m: int) -> BaileyPair:
 
     def acoeff(n):
         fp = FactorProduct()
-        fp.times_scalar(1 if n % 2 == 0 else -1)
+        fp.times_scalar(sign(n))
         fp.times_qpow(2 * n * n)
         fp.times_factor(neg_qm)
         fp.times_factor(QParam.finite(-1, 2 * m + 4 * n), den=True)
@@ -371,7 +371,7 @@ def _shifted_d4_pair(m: int) -> BaileyPair:
             if b.is_zero_below_cutoff():
                 continue
             fp = FactorProduct()
-            fp.times_scalar(1 if j % 2 == 0 else -1)
+            fp.times_scalar(sign(j))
             fp.times_qpow(2 * j * j)
             fp.times_poch(neg_qm, 2 * j)
             fp.times_poch(q2, n - j, base=4, den=True)
@@ -407,7 +407,7 @@ def _shifted_d1_pair(m: int) -> BaileyPair:
             if b.is_zero_below_cutoff():
                 continue
             fp = FactorProduct()
-            fp.times_scalar(1 if j % 2 == 0 else -1)
+            fp.times_scalar(sign(j))
             fp.times_qpow(2 * j * j + 2 * n - 4 * j)
             fp.times_poch(neg_q1m, 2 * j)
             fp.times_poch(q2, n - j, base=4, den=True)
@@ -417,7 +417,7 @@ def _shifted_d1_pair(m: int) -> BaileyPair:
 
     return BaileyPair(
         QParam.finite(1, 2 * m),
-        BilateralSequence(lambda n, c: Series.monomial(1 if n % 2 == 0 else -1,
+        BilateralSequence(lambda n, c: Series.monomial(sign(n),
                                                        2 * n * n - 2 * n),
                           lambda n: 2 * n * n - 2 * n, name="shifted_d1.alpha"),
         BilateralSequence(beta, lambda n: min(0, 2 * n), support=(-(m // 2), INF),

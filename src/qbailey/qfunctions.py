@@ -17,6 +17,12 @@ that makes bilateral Bailey sums truncate).
 paper's specializations (a = q^m, c^2 = aq, b^2 = a) produce removable 0/0
 ratios everywhere; cancelling equal factors before expanding is what makes
 them evaluable.
+
+Every product of factors (1 - c x^h)^(+-1) -- finite, negative-index and
+infinite Pochhammers, their reciprocals, the triple product and the
+assembled ``FactorProduct`` ratio -- is multiplied out by one dense kernel,
+``_expand``.  Sparse ``Series`` multiplication and inversion stay for general
+series; the kernel is checked against them and against ``oracle.py``.
 """
 
 from __future__ import annotations
@@ -25,15 +31,20 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadParam, NegativeN, PoleError, TruncationUnreachable
+from .errors import BadParam, InvertZero, NegativeN, PoleError, TruncationUnreachable
 from .qparams import QParam
-from .series import INF, Series, product_at
+from .series import INF, Series, _norm, product_at
 
 _ONE_MONO = (Fraction(1), 0)
 
 
+def sign(k: int) -> int:
+    """(-1)^k."""
+    return 1 if k % 2 == 0 else -1
+
+
 # ---------------------------------------------------------------------------
-# factor bookkeeping
+# the dense factor kernel
 # ---------------------------------------------------------------------------
 
 def _factor_val(mono):
@@ -41,27 +52,84 @@ def _factor_val(mono):
     return min(0, mono[1])
 
 
-def _factor_series(mono):
-    c, h = mono
-    if h == 0:
-        return Series.monomial(1 - c)
-    return Series({0: 1, h: -c})
+def _expand(num, den, cutoff):
+    """prod(1 - c x^h) over ``num`` / prod(1 - c x^h) over ``den``.
+
+    ``num`` and ``den`` are iterables of monomials (c, h), repeated for
+    multiplicity.  The result is exact below ``cutoff``; ``cutoff=None`` (or
+    INF) asks for the exact polynomial and admits no denominator.
+
+    This is the one place where factors (1 - c x^h)^(+-1) are multiplied out.
+    Each factor is written as scalar * x^shift * (1 - c' x^h') with h' > 0
+    (h = 0 is a pure scalar, h < 0 gives -c x^h (1 - x^(-h)/c)); the scalars
+    and shifts are pulled out, and the (1 - c' x^h') parts act in place on
+    one dense list a[0..n): a[e] -= c' a[e-h'] for descending e in a
+    numerator, a[e] += c' a[e-h'] for ascending e in a denominator.
+    Coefficients stay ints while every c' is an integer.
+    """
+    exact = cutoff is None or cutoff == INF
+    scalar = Fraction(1)
+    shift = 0
+    steps = []
+    for monos, inv in ((num, False), (den, True)):
+        for c, h in monos:
+            if h == 0:
+                f = 1 - c
+                if inv and f == 0:
+                    raise PoleError("uncancelled vanishing denominator factor")
+            else:
+                if inv and exact:
+                    raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
+                f = 1
+                if h < 0:
+                    f = -c
+                    shift += -h if inv else h
+                    c, h = 1 / c, -h
+                steps.append((_norm(c), h, inv))
+            scalar = scalar / f if inv else scalar * f
+    cutoff = INF if exact else cutoff
+    if scalar == 0:
+        return Series.zero(cutoff)
+    n = sum(h for _, h, _ in steps) + 1 if exact else cutoff - shift
+    if n <= 0:
+        return Series.zero(cutoff)
+    a = [1] + [0] * (n - 1)
+    top = 0  # a[e] == 0 for every e > top
+    for c, h, inv in steps:
+        if h >= n:
+            continue
+        if inv:
+            top = n - 1
+            for e in range(h, n):
+                x = a[e - h]
+                if x:
+                    a[e] += c * x
+        else:
+            top = min(top + h, n - 1)
+            for e in range(top, h - 1, -1):
+                x = a[e - h]
+                if x:
+                    a[e] -= c * x
+    scalar = _norm(scalar)
+    return Series({e + shift: x * scalar for e, x in enumerate(a) if x}, cutoff)
 
 
-@lru_cache(maxsize=100000)
-def _factor_inverse(mono, cutoff):
-    return _factor_series(mono).invert(cutoff)
+def _poch_monos(a: QParam, k, base: int, bound=None):
+    """(numerator, denominator) factor monomials of (a;q^base)_k.
 
-
-def _poch_monos(a: QParam, k: int, base: int):
-    """Factor monomials of (a;q^base)_k and whether they sit in a denominator."""
+    For k = INF only the factors that matter below ``bound`` (the cutoff
+    less the product's valuation) are listed: every factor with exponent
+    below max(bound, 1), so the nonpositive ones are always all there.
+    """
     if a.is_zero:
-        return [], False
+        return [], []
     if not a.is_finite:
         raise BadParam("infinite parameter inside a Pochhammer symbol")
+    if k == INF:
+        k = max(0, -((a.halves - max(bound, 1)) // base))
     if k >= 0:
-        return [(a.coeff, a.halves + j * base) for j in range(k)], False
-    return [(a.coeff, a.halves - l * base) for l in range(1, -k + 1)], True
+        return [(a.coeff, a.halves + j * base) for j in range(k)], []
+    return [], [(a.coeff, a.halves - l * base) for l in range(1, -k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,69 +177,23 @@ def poch_val(a: QParam, k, base: int = 2):
 @lru_cache(maxsize=100000)
 def _poch_cached(kind, coeff, halves, k, cutoff, base):
     a = QParam(kind, coeff, halves)
-    if a.is_zero:
+    if a.is_zero or k == 0:
         return Series.one()
-    if k == "inf":
-        return _poch_inf(a, cutoff, base)
-    if k >= 0:
-        monos = [(a.coeff, a.halves + j * base) for j in range(k)]
-        # Factors below valuation 0 shift the product downward; intermediate
-        # truncation must leave room for the drift still to come.
-        drift = sum(min(0, m[1]) for m in monos)
-        out = Series.one()
-        seen = 0
-        for m in monos:
-            out = out * _factor_series(m)
-            seen += min(0, m[1])
-            if cutoff is not None:
-                out = out.truncate(cutoff - (drift - seen))
-        return out
-    monos, _ = _poch_monos(a, k, base)
-    for m in monos:
-        if m[0] == 1 and m[1] == 0:
-            raise PoleError(f"({a})_{k} has a vanishing denominator factor")
-    if cutoff is None:
+    if k == INF:
+        if cutoff is None or cutoff == INF:
+            raise BadParam("infinite Pochhammer product needs a finite cutoff")
+        v, vanishes = poch_val(a, INF, base)
+        if vanishes == "zero":
+            return Series.zero()
+        return _expand(*_poch_monos(a, INF, base, cutoff - v), cutoff)
+    if k < 0 and cutoff is None:
         raise BadParam("negative-index Pochhammer needs a cutoff")
-    prod = Series.one()
-    for m in monos:
-        prod = prod * _factor_series(m)
-    return prod.invert(cutoff)
-
-
-def _poch_inf(a: QParam, cutoff, base):
-    if cutoff is None or cutoff == INF:
-        raise BadParam("infinite Pochhammer product needs a finite cutoff")
-    c, h = a.coeff, a.halves
-    if c == 1 and h <= 0 and h % base == 0:
-        return Series.zero()  # a factor (1 - q^0) makes the product exactly 0
-    # Factors with nonpositive-valuation deviation are multiplied exactly
-    # first; truncating before they are absorbed would lose low-order terms.
-    head = Series.one()
-    j = 0
-    while h + j * base <= 0:
-        head = head * _factor_series((c, h + j * base))
-        j += 1
-        if j > 10 * (abs(h) + base):
-            raise TruncationUnreachable("infinite product head does not terminate")
-    v0 = head.val()
-    if v0 == INF:
-        return Series.zero()
-    work = cutoff - min(0, v0)
-    tail = Series.one()
-    steps = 0
-    while h + j * base < work:
-        tail = (tail * _factor_series((c, h + j * base))).truncate(work)
-        j += 1
-        steps += 1
-        if steps > 10 * max(work, 1) + 100:
-            raise TruncationUnreachable("infinite product does not converge formally")
-    return (head * tail).truncate(cutoff)
+    return _expand(*_poch_monos(a, k, base), cutoff)
 
 
 def poch(a: QParam, k, cutoff=None, base: int = 2) -> Series:
     """(a;q^base)_k as a truncated series; k may be a negative int or INF."""
-    key_k = "inf" if k == INF else int(k)
-    return _poch_cached(a.kind, a.coeff, a.halves, key_k, cutoff, base)
+    return _poch_cached(a.kind, a.coeff, a.halves, k if k == INF else int(k), cutoff, base)
 
 
 def poch_recip(a: QParam, k, cutoff, base: int = 2) -> Series:
@@ -183,11 +205,8 @@ def poch_recip(a: QParam, k, cutoff, base: int = 2) -> Series:
         return Series.zero()
     if kind == "zero":
         raise PoleError(f"reciprocal of the vanishing product ({a})_{k}")
-    if cutoff <= -v:
-        # the reciprocal has valuation -v, so below the cutoff it is all zero
-        return Series.zero(cutoff)
-    # the input must be exact below cutoff + 2v for the inverse to reach cutoff
-    return poch(a, k, cutoff + 2 * v, base).invert(cutoff)
+    num, den = _poch_monos(a, k, base, cutoff + v)
+    return _expand(den, num, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +266,7 @@ def jtp_sum(z: QParam, cutoff, base: int = 2) -> Series:
         return j * h + base * (j * (j - 1) // 2)
 
     def term(j):
-        sign = 1 if j % 2 == 0 else -1
-        return z.monomial(j).times_monomial(sign, base * (j * (j - 1) // 2))
+        return z.monomial(j).times_monomial(sign(j), base * (j * (j - 1) // 2))
 
     out = Series.zero(cutoff)
     j = 0
@@ -271,13 +289,13 @@ def jtp_sum(z: QParam, cutoff, base: int = 2) -> Series:
 def triple_product(z: QParam, cutoff, base: int = 2) -> Series:
     """(Q, z, Q/z; Q)_oo with Q = q^(base/2): the product side of the identity."""
     Qp = QParam.finite(1, base)
-    parts = []
-    for p in (Qp, z, Qp / z):
-        v, kind = poch_val(p, INF, base)
-        if kind == "zero":
-            return Series.zero(cutoff)
-        parts.append(((lambda pp: (lambda c: poch(pp, INF, c, base)))(p), v))
-    return product_at(cutoff, parts)
+    params = (Qp, z, Qp / z)
+    vals = [poch_val(p, INF, base) for p in params]
+    if any(kind == "zero" for _, kind in vals):
+        return Series.zero(cutoff)
+    bound = cutoff - sum(v for v, _ in vals)
+    return _expand([m for p in params for m in _poch_monos(p, INF, base, bound)[0]],
+                   [], cutoff)
 
 
 def jacobi_triple(z: QParam, cutoff, base: int = 2):
@@ -291,27 +309,14 @@ def jacobi_triple(z: QParam, cutoff, base: int = 2):
 
 @lru_cache(maxsize=100000)
 def _factors_series(num_key, den_key, cutoff):
-    num = Series.one()
-    for (mono, mult) in num_key:
-        f = _factor_series(mono)
-        for _ in range(mult):
-            num = num * f
-    if not den_key:
-        return num.truncate(cutoff) if cutoff is not None else num
-    v_num = sum(_factor_val(m) * k for m, k in num_key)
-    den = Series.one()
-    for (mono, mult) in den_key:
-        f = _factor_series(mono)
-        for _ in range(mult):
-            den = den * f
-    inv = den.invert(cutoff - v_num)
-    return (num * inv).truncate(cutoff)
+    return _expand([m for m, k in num_key for _ in range(k)],
+                   [m for m, k in den_key for _ in range(k)], cutoff)
 
 
 def fp_pp(fp, p: QParam, n: int):
     """Multiply fp by (p)_n / p^n, using the limit (-1)^n q^C(n,2) at p = oo."""
     if p.is_infinite:
-        fp.times_scalar(1 if n % 2 == 0 else -1).times_qpow(n * (n - 1))
+        fp.times_scalar(sign(n)).times_qpow(n * (n - 1))
         return fp
     if p.is_zero:
         raise BadParam("(0)_n / 0^n is undefined")
@@ -391,10 +396,11 @@ class FactorProduct:
 
     def times_poch(self, p: QParam, k: int, base: int = 2, den: bool = False):
         """Multiply by (p;q^base)_k (or its reciprocal when den=True)."""
-        monos, inverted = _poch_monos(p, k, base)
-        side = self.den if (den ^ inverted) else self.num
-        for m in monos:
-            side[m] += 1
+        num, den_monos = _poch_monos(p, k, base)
+        if den:
+            num, den_monos = den_monos, num
+        self.num.update(num)
+        self.den.update(den_monos)
         return self
 
     def times_series(self, s: Series):
@@ -444,8 +450,6 @@ class FactorProduct:
         num, den = self._cancelled()
         if any(m == _ONE_MONO for m in num):
             return Series.zero()
-        if any(m == _ONE_MONO for m in den):
-            raise PoleError("uncancelled vanishing denominator factor")
         parts = []
         num_key = tuple(sorted(num.items()))
         den_key = tuple(sorted(den.items()))

@@ -24,19 +24,10 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import BadParam, TruncationUnreachable, UnsupportedLimit
-from .qparams import QParam
-from .qfunctions import FactorProduct, esym, fp_pp, qbinom
+from .qparams import Q, QParam
+from .qfunctions import FactorProduct, esym, fp_pp, qbinom, sign
 from .pairs import BaileyPair, BilateralSequence
 from .series import INF, Series, product_at
-
-_Q = QParam.finite(1, 2)
-
-
-def _sign(k: int) -> int:
-    return 1 if k % 2 == 0 else -1
-
-
-_fp_pp = fp_pp
 
 
 def _combine(plans, cutoff) -> Series:
@@ -101,8 +92,8 @@ def bailey_lemma(pair: BaileyPair, rho: QParam, sigma: QParam) -> BaileyPair:
 
     def alpha_plans(n):
         fp = FactorProduct()
-        _fp_pp(fp, rho, n)
-        _fp_pp(fp, sigma, n)
+        fp_pp(fp, rho, n)
+        fp_pp(fp, sigma, n)
         fp.times_param_pow(aq, n)
         fp.times_poch(aq_r, n, den=True)
         fp.times_poch(aq_s, n, den=True)
@@ -112,11 +103,11 @@ def bailey_lemma(pair: BaileyPair, rho: QParam, sigma: QParam) -> BaileyPair:
         plans = []
         for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
             fp = FactorProduct()
-            _fp_pp(fp, rho, j)
-            _fp_pp(fp, sigma, j)
+            fp_pp(fp, rho, j)
+            fp_pp(fp, sigma, j)
             fp.times_param_pow(aq, j)
             fp.times_poch(aq_rs, n - j)
-            fp.times_poch(_Q, n - j, den=True)
+            fp.times_poch(Q, n - j, den=True)
             fp.times_poch(aq_r, n, den=True)
             fp.times_poch(aq_s, n, den=True)
             plans.append((fp, pair.beta, j))
@@ -248,8 +239,8 @@ def _lattice_like(pair: BaileyPair, rho: QParam, sigma: QParam, twist: bool,
 
     def alpha_plans(n):
         outer = FactorProduct()
-        _fp_pp(outer, rho, n)
-        _fp_pp(outer, sigma, n)
+        fp_pp(outer, rho, n)
+        fp_pp(outer, sigma, n)
         outer.times_param_pow(a, n)
         outer.times_poch(a_r, n, den=True)
         outer.times_poch(a_s, n, den=True)
@@ -268,13 +259,13 @@ def _lattice_like(pair: BaileyPair, rho: QParam, sigma: QParam, twist: bool,
         plans = []
         for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
             fp = FactorProduct()
-            _fp_pp(fp, rho, j)
-            _fp_pp(fp, sigma, j)
+            fp_pp(fp, rho, j)
+            fp_pp(fp, sigma, j)
             fp.times_param_pow(a, j)
             if twist:
                 fp.times_qpow(2 * j)
             fp.times_poch(a_rs, n - j)
-            fp.times_poch(_Q, n - j, den=True)
+            fp.times_poch(Q, n - j, den=True)
             fp.times_poch(a_r, n, den=True)
             fp.times_poch(a_s, n, den=True)
             plans.append((fp, pair.beta, j))
@@ -438,7 +429,7 @@ def nlattice(pair: BaileyPair, bs) -> BaileyPair:
             if f.is_zero_below_cutoff():
                 continue
             fp = _ratio_j(a, N, n, j)
-            fp.times_scalar(_sign(j))
+            fp.times_scalar(sign(j))
             fp.times_qpow(2 * j * n - j * (j + 1))
             for b in bs:
                 fp.times_factor(b, 0, den=True)
@@ -479,7 +470,7 @@ def nlattice1(pair: BaileyPair, N: int) -> BaileyPair:
         plans = []
         for j in range(0, N + 1):
             fp = _ratio_j(a, N, n, j)
-            fp.times_scalar(_sign(j))
+            fp.times_scalar(sign(j))
             fp.times_param_pow(a, j)
             fp.times_qpow(2 * (2 * n - N) * j - j * (j + 1))
             fp.times_series(qbinom(N, j))
@@ -511,7 +502,7 @@ def nlattice2(pair: BaileyPair, N: int) -> BaileyPair:
         plans = []
         for j in range(0, N + 1):
             fp = _ratio_j(a, N, n, j)
-            fp.times_scalar(_sign(j))
+            fp.times_scalar(sign(j))
             fp.times_qpow(2 * N * (n - j) + j * (j - 1))
             fp.times_series(qbinom(N, j))
             plans.append((fp, pair.alpha, n - j))
@@ -552,7 +543,7 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
 
     def core_fp(n, j):
         fp = _ratio_j(a, N, n, j)
-        fp.times_scalar(_sign(j))
+        fp.times_scalar(sign(j))
         if twisted:
             fp.times_qpow(2 * N * (n - j) + j * (j - 1))
         else:
@@ -569,8 +560,8 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
 
         def alpha_plans(n):
             outer = FactorProduct()
-            _fp_pp(outer, rho, n)
-            _fp_pp(outer, sigma, n)
+            fp_pp(outer, rho, n)
+            fp_pp(outer, sigma, n)
             outer.times_param_pow(am, n)
             outer.times_poch(am_r, n, den=True)
             outer.times_poch(am_s, n, den=True)
@@ -588,13 +579,13 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
             plans = []
             for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
                 fp = FactorProduct()
-                _fp_pp(fp, rho, j)
-                _fp_pp(fp, sigma, j)
+                fp_pp(fp, rho, j)
+                fp_pp(fp, sigma, j)
                 fp.times_param_pow(am, j)
                 if twisted:
                     fp.times_qpow(2 * j * N)
                 fp.times_poch(am_rs, n - j)
-                fp.times_poch(_Q, n - j, den=True)
+                fp.times_poch(Q, n - j, den=True)
                 fp.times_poch(am_r, n, den=True)
                 fp.times_poch(am_s, n, den=True)
                 plans.append((fp, pair.beta, j))
@@ -609,8 +600,8 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
             plans = []
             for j in range(0, N + 1):
                 fp = core_fp(n, j)
-                _fp_pp(fp, rho, n - j)
-                _fp_pp(fp, sigma, n - j)
+                fp_pp(fp, rho, n - j)
+                fp_pp(fp, sigma, n - j)
                 fp.times_param_pow(aq, n - j)
                 fp.times_poch(aq_r, n - j, den=True)
                 fp.times_poch(aq_s, n - j, den=True)
@@ -621,13 +612,13 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
             plans = []
             for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
                 fp = FactorProduct()
-                _fp_pp(fp, rho, j)
-                _fp_pp(fp, sigma, j)
+                fp_pp(fp, rho, j)
+                fp_pp(fp, sigma, j)
                 fp.times_param_pow(aq, j)
                 if twisted:
                     fp.times_qpow(2 * n * N)
                 fp.times_poch(aq_rs, n - j)
-                fp.times_poch(_Q, n - j, den=True)
+                fp.times_poch(Q, n - j, den=True)
                 fp.times_poch(aq_r, n, den=True)
                 fp.times_poch(aq_s, n, den=True)
                 plans.append((fp, pair.beta, j))
@@ -881,7 +872,7 @@ def lovejoy_lift(pair: BaileyPair, bs) -> BaileyPair:
                 fp.times_param_pow(bs[k - 1], ch[k] - ch[k - 1])
             fp.times_param_pow(bs[N - 1], -ch[N - 1])
             n1 = ch[0]
-            fp.times_scalar(_sign(n1))
+            fp.times_scalar(sign(n1))
             fp.times_qpow(-n1 * (n1 - 1))
             plans.append((fp, pair.alpha, n1))
         return plans

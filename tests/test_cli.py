@@ -139,3 +139,12 @@ def test_list_machine_readable():
     assert len(payload["transforms"]) == 18
     names = {d["name"] for d in payload["identities"]}
     assert {"rr", "ag", "mag", "bressoud_master"} <= names
+
+
+def test_verify_human_output_prints_params_as_monomials():
+    r = run("verify", "--identity", "lambda1", "--r", "2", "--i", "1",
+            "--cutoff", "30", "--param", "a=q", "--param", "b1=2*q^(2/2)",
+            "--param", "c1=inf", "--param", "c2=inf")
+    assert r.returncode == 0, r.stderr
+    assert "QParam(" not in r.stdout
+    assert "b1=2*q^(2/2)" in r.stdout

@@ -1,8 +1,13 @@
 """The defining relation, inversion, and the built-in pairs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from qbailey.errors import BadParam
+import qbailey
+from qbailey.errors import BadParam, CertificateViolation
 from qbailey.qparams import QParam
 from qbailey.pairs import (BaileyPair, BilateralSequence, invert_pair,
                            make_pair, verify_pair)
@@ -111,3 +116,28 @@ def test_make_pair_rejects_bad_params():
         make_pair("nope")
     with pytest.raises(BadParam):
         make_pair("unit", a=QParam.infinity())
+
+
+_LYING_SEQUENCE = """
+from qbailey.errors import CertificateViolation
+from qbailey.pairs import BilateralSequence
+from qbailey.series import Series
+seq = BilateralSequence(lambda n, c: Series.monomial(1, 0), lambda n: 2, name="liar")
+try:
+    seq(0, 10)
+except CertificateViolation:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_certificate_violation_is_an_error_also_under_O():
+    # val_bound claims valuation >= 2 for a series that starts at x^0
+    seq = BilateralSequence(lambda n, c: Series.monomial(1, 0), lambda n: 2, name="liar")
+    with pytest.raises(CertificateViolation):
+        seq(0, 10)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbailey.__file__)))
+    for flags in ([], ["-O"]):
+        r = subprocess.run([sys.executable, *flags, "-c", _LYING_SEQUENCE],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, (flags, r.stderr)
