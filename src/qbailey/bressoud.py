@@ -14,14 +14,12 @@ independent route through the same identity.
 
 from __future__ import annotations
 
-from .errors import BadParam, PoleError, TruncationUnreachable
+from .errors import BadParam, PoleError
 from .qparams import Q, QParam
 from .qfunctions import (FactorProduct, _expand, _poch_monos, fp_pp, poch, poch_recip,
                          poch_val, sign)
 from .multisum import MultisumSpec, multisum_eval
-from .series import INF, Series, product_at
-
-_STREAK = 4
+from .series import INF, Series, product_at, truncated_sum
 
 
 def _pp_floor(p: QParam, s: int):
@@ -59,29 +57,17 @@ def _poch_floor(p: QParam, s: int):
 
 
 def _jsum(coeff_fp_fn, floor_fn, cutoff, label):
-    """sum_{j >= 0} coeff(j), truncated once floor_fn certifies the tail."""
-    out = Series.zero()
-    j = 0
-    streak = 0
-    steps = 0
-    cap = 10 * max(cutoff, 1) + 200
-    while True:
-        steps += 1
-        if steps > cap:
-            raise TruncationUnreachable(f"{label}: j-sum did not truncate")
-        fl = floor_fn(j)
-        if fl >= cutoff:
-            streak += 1
-            if streak >= _STREAK:
-                break
-            j += 1
-            continue
-        streak = 0
+    """sum_{j >= 0} coeff(j), cut off by ``series.truncated_sum``'s stop rule.
+
+    floor_fn(j) bounds the valuation of coeff(j); coeff_fp_fn(j) returns a
+    FactorProduct, or None for a zero term.
+    """
+    def build(j):
         fp = coeff_fp_fn(j)
-        if fp is not None:
-            out = out + fp.series(cutoff)
-        j += 1
-    return out.truncate(cutoff)
+        return Series.zero() if fp is None else fp.series(cutoff)
+
+    return truncated_sum(0, 1, INF, lambda j: (floor_fn(j), lambda: build(j)), cutoff,
+                         f"{label}: j-sum did not truncate").truncate(cutoff)
 
 
 def _times_a_quotient(fp, a: QParam, j: int):

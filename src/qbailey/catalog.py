@@ -56,9 +56,9 @@ class EvalReport:
     cutoff: int
     lhs: Series
     rhs: Series
-    passed: bool
-    compared: float
-    first_divergence: dict | None
+    passed: bool = False  # passed, compared and first_divergence are set by compare()
+    compared: float = 0
+    first_divergence: dict | None = None
     runtime_ms: float = 0.0
 
     def to_json(self):
@@ -80,6 +80,18 @@ class EvalReport:
             fd["rhs_coeff"] = str(Fraction(fd["rhs_coeff"]))
             out["first_divergence"] = fd
         return out
+
+    def compare(self):
+        """Compare the sides below the cutoff and set the verdict.
+
+        PASS needs agreement on every coefficient below the requested cutoff,
+        so a side that came back exact only to a lower order fails.
+        """
+        self.compared, diff = first_diff(self.lhs, self.rhs, self.cutoff)
+        self.first_divergence = None if diff is None else {
+            "exponent_halves": diff[0], "lhs_coeff": diff[1], "rhs_coeff": diff[2]}
+        self.passed = diff is None and self.compared >= self.cutoff
+        return self
 
 
 @dataclass(frozen=True)
@@ -1195,16 +1207,10 @@ def evaluate_identity(name: str, params: dict, cutoff: int) -> EvalReport:
     if desc.validate is not None:
         desc.validate(params)
     t0 = time.perf_counter()
-    lhs = desc.lhs(params, cutoff)
-    rhs = desc.rhs(params, cutoff)
-    compared, diff = first_diff(lhs, rhs, cutoff)
-    fd = None
-    if diff is not None:
-        fd = {"exponent_halves": diff[0], "lhs_coeff": diff[1], "rhs_coeff": diff[2]}
-    return EvalReport(identity=name, params=params, cutoff=cutoff, lhs=lhs,
-                      rhs=rhs, passed=diff is None, compared=compared,
-                      first_divergence=fd,
-                      runtime_ms=(time.perf_counter() - t0) * 1000.0)
+    report = EvalReport(identity=name, params=params, cutoff=cutoff,
+                        lhs=desc.lhs(params, cutoff), rhs=desc.rhs(params, cutoff)).compare()
+    report.runtime_ms = (time.perf_counter() - t0) * 1000.0
+    return report
 
 
 def specialization_table():

@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import BadParam, PoleError, QBaileyError, TruncationUnreachable, UnknownIdentity
 from .qparams import parse_qparam
 from .catalog import CATALOG, evaluate_identity, identity_names
+from .series import Series
 from .transforms import REGISTRY
 from .checks import transform_soundness, composition_checks
 
@@ -74,6 +75,14 @@ def _write_report(report_dir, stem, payload):
         fh.write("\n")
 
 
+def _inject_fault(report, halves):
+    """Self-test hook: bump the LHS coefficient at x^halves and compare again."""
+    lhs = Series(dict(report.lhs.terms), report.lhs.cutoff)
+    lhs.terms[halves] = lhs.terms.get(halves, 0) + 1
+    report.lhs = lhs
+    report.compare()
+
+
 def cmd_verify(args) -> int:
     raw = _parse_params(args.param)
     for short in ("m", "r", "i", "k"):
@@ -89,16 +98,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     report = evaluate_identity(name, params, args.cutoff)
     if args.inject_fault is not None:
-        # self-test hook: perturb one LHS coefficient and re-compare
-        from .series import Series, first_diff
-        lhs = Series(dict(report.lhs.terms), report.lhs.cutoff)
-        lhs.terms[args.inject_fault] = lhs.terms.get(args.inject_fault, 0) + 1
-        compared, diff = first_diff(lhs, report.rhs, args.cutoff)
-        report.lhs = lhs
-        report.passed = diff is None
-        report.compared = compared
-        report.first_divergence = None if diff is None else {
-            "exponent_halves": diff[0], "lhs_coeff": diff[1], "rhs_coeff": diff[2]}
+        _inject_fault(report, args.inject_fault)
     report.runtime_ms = (time.perf_counter() - t0) * 1000.0
     payload = report.to_json()
     if args.format == "json":
@@ -110,8 +110,10 @@ def cmd_verify(args) -> int:
                          for k, v in payload["params"].items())
         print(f"{verdict} {name} {shown} cutoff=x^{args.cutoff} "
               f"({n_matched} coefficients, {report.runtime_ms:.0f} ms)")
-        if not report.passed:
+        if report.first_divergence is not None:
             print(f"  first divergence: {report.first_divergence}", file=sys.stderr)
+        elif not report.passed:
+            print(f"  compared only below x^{report.compared}", file=sys.stderr)
     _write_report(args.report_dir, f"verify_{name}_{int(time.time() * 1000)}", payload)
     return EXIT_PASS if report.passed else EXIT_MISMATCH
 
@@ -156,18 +158,9 @@ def run_entry(entry: dict) -> dict:
             raw = {k: str(v) for k, v in entry.get("params", {}).items()}
             params = _coerce_identity_params(entry["identity"], raw)
             rep = evaluate_identity(entry["identity"], params, int(entry["cutoff"]))
-            out = rep.to_json()
             if entry.get("inject_fault") is not None:
-                h = int(entry["inject_fault"])
-                from .series import Series, first_diff
-                lhs = Series(dict(rep.lhs.terms), rep.lhs.cutoff)
-                lhs.terms[h] = lhs.terms.get(h, 0) + 1
-                _, diff = first_diff(lhs, rep.rhs, int(entry["cutoff"]))
-                out["passed"] = diff is None
-                if diff is not None:
-                    out["first_divergence"] = {
-                        "exponent_halves": diff[0],
-                        "lhs_coeff": str(diff[1]), "rhs_coeff": str(diff[2])}
+                _inject_fault(rep, int(entry["inject_fault"]))
+            out = rep.to_json()
         elif cmd == "transform-check":
             results = transform_soundness(entry["transform"],
                                           trials=int(entry.get("trials", 3)),

@@ -27,9 +27,7 @@ from .errors import BadParam, PoleError, TruncationUnreachable
 from .qparams import Q, QParam
 from .qfunctions import FactorProduct, fp_pp, poch, poch_recip, poch_val, sign
 from .pairs import BaileyPair, VerifyReport
-from .series import INF, Series, first_diff, product_at
-
-_STREAK = 4
+from .series import INF, Series, first_diff, product_at, truncated_sum
 
 
 def _geom(a: QParam, j: int, top: int) -> Series:
@@ -41,46 +39,24 @@ def _geom(a: QParam, j: int, top: int) -> Series:
 
 
 def _bilateral_alpha_sum(pair, coeff_fp_fn, cutoff, label):
-    """sum_j coeff(j) * alpha_j with certified downward/upward truncation.
+    """sum_j coeff(j) * alpha_j, run upward from j = 0 and downward from j = -1.
 
-    coeff_fp_fn(j) returns a FactorProduct (or None to skip the term).
+    coeff_fp_fn(j) returns a FactorProduct.  Each direction stops by
+    ``series.truncated_sum``'s rule, which is a heuristic (see there).
     """
     alpha = pair.alpha
 
-    def run(start, step):
-        out = Series.zero()
-        j = start
-        streak = 0
-        steps = 0
-        cap = 10 * max(cutoff, 1) + 200
-        while True:
-            steps += 1
-            if steps > cap:
-                raise TruncationUnreachable(f"{label}: bilateral sum did not truncate")
-            if step > 0 and j > alpha.support_hi:
-                break
-            if step < 0 and j < alpha.support_lo:
-                break
-            fp = coeff_fp_fn(j)
-            if fp is None:
-                j += step
-                continue
-            bound = fp.val_bound() + alpha.val_bound(j)
-            if bound >= cutoff:
-                streak += 1
-                if streak >= _STREAK:
-                    break
-                j += step
-                continue
-            streak = 0
-            out = out + product_at(cutoff, [
-                (lambda c, f=fp: f.series(c), fp.val_bound()),
-                (lambda c, jj=j: pair.alpha(jj, c), alpha.val_bound(j)),
-            ])
-            j += step
-        return out
+    def at(j):
+        fp = coeff_fp_fn(j)
+        return fp.val_bound() + alpha.val_bound(j), lambda: product_at(cutoff, [
+            (lambda c: fp.series(c), fp.val_bound()),
+            (lambda c: pair.alpha(j, c), alpha.val_bound(j)),
+        ])
 
-    return (run(0, 1) + run(-1, -1)).truncate(cutoff)
+    label = f"{label}: bilateral sum did not truncate"
+    up = truncated_sum(0, 1, alpha.support_hi, at, cutoff, label)
+    down = truncated_sum(-1, -1, alpha.support_lo, at, cutoff, label)
+    return (up + down).truncate(cutoff)
 
 
 def corollary_sum(pair: BaileyPair, r: int, i: int, variant, cutoff):
@@ -342,7 +318,6 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
     a = pair.a
     aq = a.q_shift(2)
     alpha = pair.alpha
-    out = Series.zero()
 
     def lattice_block(fp, j):
         for d in range(1, i + 1):
@@ -363,19 +338,6 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             fp.times_poch(aq / sd, j, den=True)
         fp.times_param_pow(aq, (r - i) * j)
 
-    if twisted:
-        # alpha_0/((q)_n (a)_n) + sum_{j=1..n} ...
-        fp0 = FactorProduct()
-        fp0.times_poch(Q, n, den=True)
-        fp0.times_poch(a, n, den=True)
-        out = out + product_at(cutoff, [
-            (lambda c: fp0.series(c), fp0.val_bound()),
-            (lambda c: pair.alpha(0, c), alpha.val_bound(0)),
-        ])
-        j_iter = range(1, n + 1)
-    else:
-        j_iter = None
-
     def make_terms(j):
         plans = []
         for idx, (jj, extra) in enumerate(((j, "first"), (j - 1, "second"))):
@@ -395,45 +357,38 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             plans.append((fp, jj))
         return plans
 
-    if twisted:
-        for j in j_iter:
-            for fp, jj in make_terms(j):
-                v_fp = fp.val_bound()
-                if v_fp == INF:
-                    continue
-                out = out + product_at(cutoff, [
-                    (lambda c, f=fp: f.series(c), v_fp),
-                    (lambda c, k=jj: pair.alpha(k, c), alpha.val_bound(jj)),
-                ])
-        return out.truncate(cutoff)
-
-    j = min(n, alpha.support_hi + 1)
-    streak = 0
-    steps = 0
-    cap = 10 * max(cutoff, 1) + 200
-    while j >= alpha.support_lo:
-        steps += 1
-        if steps > cap:
-            raise TruncationUnreachable("finite-n rhs did not truncate")
-        va, kind = poch_val(a, n + j)
-        if kind == "pole":
-            break  # 1/(a)_{n+j} = 0 from here down
-        plans = make_terms(j)
-        bound = min(fp.val_bound() + alpha.val_bound(jj) for fp, jj in plans)
-        if bound >= cutoff:
-            streak += 1
-            if streak >= _STREAK:
-                break
-            j -= 1
-            continue
-        streak = 0
+    def plans_sum(plans):
+        total = Series.zero()
         for fp, jj in plans:
             v_fp = fp.val_bound()
             if v_fp == INF:
                 continue
-            out = out + product_at(cutoff, [
+            total = total + product_at(cutoff, [
                 (lambda c, f=fp: f.series(c), v_fp),
                 (lambda c, k=jj: pair.alpha(k, c), alpha.val_bound(jj)),
             ])
-        j -= 1
-    return out.truncate(cutoff)
+        return total
+
+    if twisted:
+        # alpha_0/((q)_n (a)_n) + sum_{j=1..n} ...
+        fp0 = FactorProduct()
+        fp0.times_poch(Q, n, den=True)
+        fp0.times_poch(a, n, den=True)
+        out = product_at(cutoff, [
+            (lambda c: fp0.series(c), fp0.val_bound()),
+            (lambda c: pair.alpha(0, c), alpha.val_bound(0)),
+        ])
+        for j in range(1, n + 1):
+            out = out + plans_sum(make_terms(j))
+        return out.truncate(cutoff)
+
+    def at(j):
+        _, kind = poch_val(a, n + j)
+        if kind == "pole":
+            return INF, None  # 1/(a)_{n+j} = 0 here and for every smaller j
+        plans = make_terms(j)
+        return (min(fp.val_bound() + alpha.val_bound(jj) for fp, jj in plans),
+                lambda: plans_sum(plans))
+
+    return truncated_sum(min(n, alpha.support_hi + 1), -1, alpha.support_lo, at,
+                         cutoff, "finite-n rhs did not truncate").truncate(cutoff)

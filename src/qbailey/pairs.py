@@ -6,8 +6,8 @@ beta_n), n in Z, with
     beta_n = sum_{j <= n} alpha_j / ( (q)_{n-j} (aq)_{n+j} ).
 
 ``verify_pair`` recomputes the right side by enumerating j downward from n
-until a certified valuation bound exceeds the cutoff; ``invert_pair``
-recomputes alpha from beta through
+with ``series.truncated_sum``, whose stop rule is a heuristic (see there);
+``invert_pair`` recomputes alpha from beta through
 
     alpha_n = (1-aq^{2n})/(1-a) *
               sum_{j <= n} (a)_{n+j}/(q)_{n-j} (-1)^{n-j} q^C(n-j,2) beta_j.
@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParam, CertificateViolation, PoleError, TruncationUnreachable
+from .errors import BadParam, CertificateViolation, PoleError
 from .qparams import Q, QParam
 from .qfunctions import FactorProduct, poch, poch_recip, poch_val, qbinom, sign
-from .series import INF, Series, first_diff, product_at
-
-_STREAK = 4  # consecutive beyond-cutoff bounds required before stopping
+from .series import INF, Series, first_diff, product_at, truncated_sum
 
 
 @dataclass
@@ -113,39 +111,24 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
     """sum_{j<=n} alpha_j / ((q)_{n-j} (aq)_{n+j}), exact below cutoff."""
     aq = pair.a.q_shift(2)
     alpha = pair.alpha
-    out = Series.zero()
-    j = min(n, alpha.support_hi)
-    streak = 0
-    steps = 0
-    cap = 10 * max(cutoff, 1) + 200
-    while j >= alpha.support_lo:
-        steps += 1
-        if steps > cap:
-            raise TruncationUnreachable(f"relation sum at n={n} did not truncate")
+
+    def at(j):
         v_aq, kind = poch_val(aq, n + j)
         if kind == "pole":
-            break  # 1/(aq)_{n+j} = 0 here and for every smaller j
+            return INF, None  # 1/(aq)_{n+j} = 0 here and for every smaller j
         if kind == "zero":
             if alpha.val_bound(j) == INF:
-                j -= 1
-                continue
+                return None, None
             raise PoleError(
                 f"defining relation degenerates: (aq)_{n + j} = 0 with aq = {aq}")
-        bound = alpha.val_bound(j) - v_aq
-        if bound >= cutoff:
-            streak += 1
-            if streak >= _STREAK:
-                break
-            j -= 1
-            continue
-        streak = 0
-        out = out + product_at(cutoff, [
-            (lambda c, jj=j: pair.alpha(jj, c), alpha.val_bound(j)),
-            (lambda c, d=n - j: poch_recip(Q, d, c), 0),
-            (lambda c, k=n + j: poch_recip(aq, k, c), -v_aq),
+        return alpha.val_bound(j) - v_aq, lambda: product_at(cutoff, [
+            (lambda c: pair.alpha(j, c), alpha.val_bound(j)),
+            (lambda c: poch_recip(Q, n - j, c), 0),
+            (lambda c: poch_recip(aq, n + j, c), -v_aq),
         ])
-        j -= 1
-    return out.truncate(cutoff)
+
+    return truncated_sum(min(n, alpha.support_hi), -1, alpha.support_lo, at, cutoff,
+                         f"relation sum at n={n} did not truncate").truncate(cutoff)
 
 
 def verify_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> VerifyReport:
@@ -173,40 +156,31 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
     if vpref == INF:
         return Series.zero()
     inner_cut = cutoff - vpref
-    out = Series.zero()
-    j = min(n, beta.support_hi)
-    streak = 0
-    steps = 0
-    cap = 10 * max(cutoff, 1) + 200
-    while j >= beta.support_lo:
-        steps += 1
-        if steps > cap:
-            raise TruncationUnreachable(f"inversion sum at n={n} did not truncate")
+
+    def term(j):
         d = n - j
-        v_a, kind = poch_val(a, n + j)
-        if kind == "zero":
-            j -= 1
-            continue
-        if kind == "pole":
-            raise PoleError(f"(a)_{n + j} has a pole with a = {a}")
-        bound = beta.val_bound(j) + v_a + d * (d - 1)
-        if bound >= inner_cut:
-            streak += 1
-            if streak >= _STREAK:
-                break
-            j -= 1
-            continue
-        streak = 0
         fp = FactorProduct()
         fp.times_scalar(sign(d))
         fp.times_qpow(d * (d - 1))
         fp.times_poch(a, n + j)
         fp.times_poch(Q, d, den=True)
-        out = out + product_at(inner_cut, [
-            (lambda c, f=fp: f.series(c), fp.val_bound()),
-            (lambda c, jj=j: beta(jj, c), beta.val_bound(j)),
+        return product_at(inner_cut, [
+            (lambda c: fp.series(c), fp.val_bound()),
+            (lambda c: beta(j, c), beta.val_bound(j)),
         ])
-        j -= 1
+
+    def at(j):
+        v_a, kind = poch_val(a, n + j)
+        if kind == "zero":
+            return None, None
+        if kind == "pole":
+            raise PoleError(f"(a)_{n + j} has a pole with a = {a}")
+        d = n - j
+        # the floor of the whole term, prefactor included
+        return vpref + beta.val_bound(j) + v_a + d * (d - 1), lambda: term(j)
+
+    out = truncated_sum(min(n, beta.support_hi), -1, beta.support_lo, at, cutoff,
+                        f"inversion sum at n={n} did not truncate")
     pref.times_series(out.truncate(inner_cut))
     return pref.series(cutoff)
 

@@ -358,6 +358,18 @@ class FactorProduct:
         fp.annihilated = self.annihilated
         return fp
 
+    def times(self, other: FactorProduct):
+        """Multiply by another FactorProduct, merging every field."""
+        self.coeff *= other.coeff
+        self.halves += other.halves
+        self.num.update(other.num)
+        self.den.update(other.den)
+        self.extras.extend(other.extras)
+        self.extra_dens.extend(other.extra_dens)
+        self.lazies.extend(other.lazies)
+        self.annihilated = self.annihilated or other.annihilated
+        return self
+
     def times_scalar(self, c):
         c = Fraction(c)
         if c == 0:

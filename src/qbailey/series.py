@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvertZero
+from .errors import InvertZero, TruncationUnreachable
 
 INF = float("inf")
+_STREAK = 4  # consecutive skipped terms after which truncated_sum stops
 
 
 def _norm(c):
@@ -281,3 +282,41 @@ def product_at(cutoff, parts):
         if not out.terms and out.cutoff >= cutoff:
             break
     return out.truncate(cutoff)
+
+
+def truncated_sum(start, step, last, at, cutoff, label):
+    """Sum of the terms j = start, start + step, ... up to ``last`` inclusive.
+
+    ``last`` may be INF or -INF.  ``at(j)`` returns ``(floor, build)``: a
+    lower bound on the valuation of term j and a function of no arguments
+    that builds the term.  A term whose floor reaches ``cutoff`` is skipped
+    without being built.  A floor of None marks an index whose term is
+    identically zero: it is stepped past and not counted as a skip.
+
+    The stop rule is a heuristic, not a certificate: the sum ends after
+    ``_STREAK`` consecutive skipped terms, so a later term whose floor dips
+    below the cutoff again is lost.  More than 10 * max(cutoff, 1) + 200
+    terms raise ``TruncationUnreachable(label)``.  The result is not
+    truncated; each term carries its own cutoff.
+    """
+    out = Series.zero()
+    cap = 10 * max(cutoff, 1) + 200
+    streak = 0
+    steps = 0
+    j = start
+    while (j <= last) if step > 0 else (j >= last):
+        steps += 1
+        if steps > cap:
+            raise TruncationUnreachable(label)
+        floor, build = at(j)
+        if floor is None:
+            pass
+        elif floor >= cutoff:
+            streak += 1
+            if streak >= _STREAK:
+                break
+        else:
+            streak = 0
+            out = out + build()
+        j += step
+    return out

@@ -75,6 +75,55 @@ def _require_not_one(p: QParam, who: str):
         raise BadParam(f"{who} = 1 makes a (1-{who}) denominator vanish")
 
 
+def _lemma_alpha(fp: FactorProduct, base: QParam, rho: QParam, sigma: QParam, n: int):
+    """Multiply fp by the lemma's alpha factor
+
+        (rho,sigma)_n (base/rho/sigma)^n / (base/rho, base/sigma)_n,
+
+    where ``base`` is aq for the lemma at relative parameter a.
+    """
+    fp_pp(fp, rho, n)
+    fp_pp(fp, sigma, n)
+    fp.times_param_pow(base, n)
+    fp.times_poch(base / rho, n, den=True)
+    fp.times_poch(base / sigma, n, den=True)
+    return fp
+
+
+def _lemma_beta(pair: BaileyPair, base: QParam, rho: QParam, sigma: QParam, twist,
+                name: str) -> BilateralSequence:
+    """The lemma's beta sum over the source beta, as a sequence:
+
+    beta'_n = sum_{j<=n} (rho,sigma)_j (base/rho/sigma)^j q^(twist(n, j)/2)
+              (base/rho/sigma)_{n-j} / ((q)_{n-j} (base/rho, base/sigma)_n) beta_j.
+    """
+    base_r = base / rho
+    base_s = base / sigma
+    base_rs = base_r / sigma
+    lo = _finite_beta_lo(pair)
+
+    def beta_plans(n):
+        plans = []
+        for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
+            fp = FactorProduct()
+            fp_pp(fp, rho, j)
+            fp_pp(fp, sigma, j)
+            fp.times_param_pow(base, j)
+            fp.times_qpow(twist(n, j))
+            fp.times_poch(base_rs, n - j)
+            fp.times_poch(Q, n - j, den=True)
+            fp.times_poch(base_r, n, den=True)
+            fp.times_poch(base_s, n, den=True)
+            plans.append((fp, pair.beta, j))
+        return plans
+
+    return _seq_from_plans(beta_plans, (lo, INF), name)
+
+
+def _no_twist(n, j):
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Bailey lemma (relative parameter unchanged)
 # ---------------------------------------------------------------------------
@@ -85,39 +134,15 @@ def bailey_lemma(pair: BaileyPair, rho: QParam, sigma: QParam) -> BaileyPair:
               / ((q)_{n-j} (aq/rho, aq/sigma)_n) beta_j."""
     a = pair.a
     aq = a.q_shift(2)
-    aq_r = aq / rho
-    aq_s = aq / sigma
-    aq_rs = aq_r / sigma
-    lo = _finite_beta_lo(pair)
 
     def alpha_plans(n):
-        fp = FactorProduct()
-        fp_pp(fp, rho, n)
-        fp_pp(fp, sigma, n)
-        fp.times_param_pow(aq, n)
-        fp.times_poch(aq_r, n, den=True)
-        fp.times_poch(aq_s, n, den=True)
-        return [(fp, pair.alpha, n)]
-
-    def beta_plans(n):
-        plans = []
-        for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
-            fp = FactorProduct()
-            fp_pp(fp, rho, j)
-            fp_pp(fp, sigma, j)
-            fp.times_param_pow(aq, j)
-            fp.times_poch(aq_rs, n - j)
-            fp.times_poch(Q, n - j, den=True)
-            fp.times_poch(aq_r, n, den=True)
-            fp.times_poch(aq_s, n, den=True)
-            plans.append((fp, pair.beta, j))
-        return plans
+        return [(_lemma_alpha(FactorProduct(), aq, rho, sigma, n), pair.alpha, n)]
 
     return BaileyPair(
         a,
         _seq_from_plans(alpha_plans, (pair.alpha.support_lo, pair.alpha.support_hi),
                         "bailey_lemma.alpha"),
-        _seq_from_plans(beta_plans, (lo, INF), "bailey_lemma.beta"),
+        _lemma_beta(pair, aq, rho, sigma, _no_twist, "bailey_lemma.beta"),
         label=f"bailey_lemma(rho={rho}, sigma={sigma})[{pair.label}]",
     )
 
@@ -231,50 +256,18 @@ def general(pair: BaileyPair, b: QParam) -> BaileyPair:
 def _lattice_like(pair: BaileyPair, rho: QParam, sigma: QParam, twist: bool,
                   label: str) -> BaileyPair:
     a = pair.a
-    a_r = a / rho
-    a_s = a / sigma
-    a_rs = a_r / sigma
-    lo = _finite_beta_lo(pair)
     sup = (pair.alpha.support_lo, pair.alpha.support_hi + 1)
 
     def alpha_plans(n):
-        outer = FactorProduct()
-        fp_pp(outer, rho, n)
-        fp_pp(outer, sigma, n)
-        outer.times_param_pow(a, n)
-        outer.times_poch(a_r, n, den=True)
-        outer.times_poch(a_s, n, den=True)
+        outer = _lemma_alpha(FactorProduct(), a, rho, sigma, n)
         t1, t2 = _key_terms(a, n, twist)
-        plans = []
-        for t, k in ((t1, n), (t2, n - 1)):
-            fp = outer.copy()
-            fp.num += t.num
-            fp.den += t.den
-            fp.coeff *= t.coeff
-            fp.halves += t.halves
-            plans.append((fp, pair.alpha, k))
-        return plans
-
-    def beta_plans(n):
-        plans = []
-        for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
-            fp = FactorProduct()
-            fp_pp(fp, rho, j)
-            fp_pp(fp, sigma, j)
-            fp.times_param_pow(a, j)
-            if twist:
-                fp.times_qpow(2 * j)
-            fp.times_poch(a_rs, n - j)
-            fp.times_poch(Q, n - j, den=True)
-            fp.times_poch(a_r, n, den=True)
-            fp.times_poch(a_s, n, den=True)
-            plans.append((fp, pair.beta, j))
-        return plans
+        return [(t1.times(outer), pair.alpha, n), (t2.times(outer), pair.alpha, n - 1)]
 
     return BaileyPair(
         a.q_shift(-2),
         _seq_from_plans(alpha_plans, sup, label + ".alpha"),
-        _seq_from_plans(beta_plans, (lo, INF), label + ".beta"),
+        _lemma_beta(pair, a, rho, sigma, (lambda n, j: 2 * j) if twist else _no_twist,
+                    label + ".beta"),
         label=f"{label}(rho={rho}, sigma={sigma})[{pair.label}]",
     )
 
@@ -539,7 +532,6 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
     if N < 0:
         raise BadParam("N must be >= 0")
     a = pair.a
-    lo = _finite_beta_lo(pair)
 
     def core_fp(n, j):
         fp = _ratio_j(a, N, n, j)
@@ -554,82 +546,31 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
 
     if lattice_first:
         am = a.q_shift(2 * (1 - N))  # a q^{1-N}: the lemma runs at a q^{-N}
-        am_r = am / rho
-        am_s = am / sigma
-        am_rs = am_r / sigma
 
         def alpha_plans(n):
-            outer = FactorProduct()
-            fp_pp(outer, rho, n)
-            fp_pp(outer, sigma, n)
-            outer.times_param_pow(am, n)
-            outer.times_poch(am_r, n, den=True)
-            outer.times_poch(am_s, n, den=True)
-            plans = []
-            for j in range(0, N + 1):
-                fp = core_fp(n, j)
-                fp.num += outer.num
-                fp.den += outer.den
-                fp.coeff *= outer.coeff
-                fp.halves += outer.halves
-                plans.append((fp, pair.alpha, n - j))
-            return plans
+            outer = _lemma_alpha(FactorProduct(), am, rho, sigma, n)
+            return [(core_fp(n, j).times(outer), pair.alpha, n - j) for j in range(N + 1)]
 
-        def beta_plans(n):
-            plans = []
-            for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
-                fp = FactorProduct()
-                fp_pp(fp, rho, j)
-                fp_pp(fp, sigma, j)
-                fp.times_param_pow(am, j)
-                if twisted:
-                    fp.times_qpow(2 * j * N)
-                fp.times_poch(am_rs, n - j)
-                fp.times_poch(Q, n - j, den=True)
-                fp.times_poch(am_r, n, den=True)
-                fp.times_poch(am_s, n, den=True)
-                plans.append((fp, pair.beta, j))
-            return plans
+        beta_seq = _lemma_beta(pair, am, rho, sigma,
+                               (lambda n, j: 2 * j * N) if twisted else _no_twist,
+                               label + ".beta")
     else:
         aq = a.q_shift(2)
-        aq_r = aq / rho
-        aq_s = aq / sigma
-        aq_rs = aq_r / sigma
 
         def alpha_plans(n):
-            plans = []
-            for j in range(0, N + 1):
-                fp = core_fp(n, j)
-                fp_pp(fp, rho, n - j)
-                fp_pp(fp, sigma, n - j)
-                fp.times_param_pow(aq, n - j)
-                fp.times_poch(aq_r, n - j, den=True)
-                fp.times_poch(aq_s, n - j, den=True)
-                plans.append((fp, pair.alpha, n - j))
-            return plans
+            return [(_lemma_alpha(core_fp(n, j), aq, rho, sigma, n - j), pair.alpha, n - j)
+                    for j in range(N + 1)]
 
-        def beta_plans(n):
-            plans = []
-            for j in range(lo, min(n, int(min(pair.beta.support_hi, n))) + 1):
-                fp = FactorProduct()
-                fp_pp(fp, rho, j)
-                fp_pp(fp, sigma, j)
-                fp.times_param_pow(aq, j)
-                if twisted:
-                    fp.times_qpow(2 * n * N)
-                fp.times_poch(aq_rs, n - j)
-                fp.times_poch(Q, n - j, den=True)
-                fp.times_poch(aq_r, n, den=True)
-                fp.times_poch(aq_s, n, den=True)
-                plans.append((fp, pair.beta, j))
-            return plans
+        beta_seq = _lemma_beta(pair, aq, rho, sigma,
+                               (lambda n, j: 2 * n * N) if twisted else _no_twist,
+                               label + ".beta")
 
     return BaileyPair(
         a.q_shift(-2 * N),
         _seq_from_plans(alpha_plans,
                         (pair.alpha.support_lo, pair.alpha.support_hi + N),
                         label + ".alpha"),
-        _seq_from_plans(beta_plans, (lo, INF), label + ".beta"),
+        beta_seq,
         label=f"{label}(N={N}, rho={rho}, sigma={sigma})[{pair.label}]",
     )
 

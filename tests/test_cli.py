@@ -105,6 +105,12 @@ def test_batch_all_pass_and_fault(tmp_path):
     failing = [x for x in summary["results"] if not x["passed"]]
     assert failing[0]["entry"]["identity"] == "ag"
     assert failing[0]["first_divergence"]["exponent_halves"] == 10
+    # a batch fault reports exactly what verify --inject-fault reports
+    single = json.loads(run("--format", "json", "verify", "--identity", "ag",
+                            "--r", "2", "--i", "1", "--cutoff", "40",
+                            "--inject-fault", "10").stdout)
+    for key in ("lhs_terms", "first_divergence", "compared_halves"):
+        assert failing[0][key] == single[key]
 
 
 def test_batch_parallel_workers(tmp_path):
@@ -148,3 +154,24 @@ def test_verify_human_output_prints_params_as_monomials():
     assert r.returncode == 0, r.stderr
     assert "QParam(" not in r.stdout
     assert "b1=2*q^(2/2)" in r.stdout
+
+
+def test_short_compare_is_not_a_pass(tmp_path, monkeypatch, capsys):
+    import dataclasses
+    from qbailey import catalog, cli
+
+    desc = catalog.CATALOG["rr"]
+    short = dataclasses.replace(desc, rhs=lambda p, c: desc.rhs(p, c).truncate(c - 10))
+    monkeypatch.setitem(catalog.CATALOG, "rr", short)
+    assert cli.main(["verify", "--identity", "rr", "--i", "0", "--cutoff", "60"]) == 1
+    out = capsys.readouterr()
+    assert out.out.startswith("FAIL")
+    assert "compared only below x^50" in out.err
+
+    f = tmp_path / "batch.json"
+    f.write_text(json.dumps([{"command": "verify", "identity": "rr",
+                              "params": {"i": 0}, "cutoff": 60}]))
+    assert cli.main(["--format", "json", "batch", "--file", str(f)]) == 1
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert result["passed"] is False
+    assert result["compared_halves"] == 50

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 import qbailey
-from qbailey.errors import BadParam, CertificateViolation
+from qbailey.errors import BadParam, CertificateViolation, PoleError
 from qbailey.qparams import QParam
 from qbailey.pairs import (BaileyPair, BilateralSequence, invert_pair,
                            make_pair, verify_pair)
 from qbailey.series import Series
+from qbailey.transforms import bailey_lemma
 
 fin = QParam.finite
 
@@ -102,6 +103,21 @@ def test_inversion_recovers_general_m_alpha():
     assert invert_pair(pair, -2, 4, 40).passed
 
 
+def test_zero_indices_do_not_stop_the_inversion_sum():
+    # a = q^-2: (a)_{n+j} = 0 for n + j > 2, so at n = 3 the sum passes four
+    # such indices (j = 3..0) before its first nonzero term at j = -1
+    pair = bailey_lemma(make_pair("general_m", a=fin(1, -4), m=2), fin(2, 1), fin(3, 0))
+    report = invert_pair(pair, -2, 4, 40)
+    assert report.passed, report.first_divergence
+
+
+def test_zero_indices_do_not_hide_a_degenerate_relation():
+    # a = q^-2: at n = 6, (aq)_{6+j} = 0 and alpha_j = 0 for j = 6..3, then
+    # (aq)_8 = 0 meets alpha_2 != 0, where the relation degenerates
+    with pytest.raises(PoleError, match="degenerates"):
+        verify_pair(make_pair("unit", a=fin(1, -4)), 6, 6, 20)
+
+
 def test_round_trip_on_unilateral_pairs():
     for a in (fin(2, 2), fin(1, 4), fin(5, 2)):
         pair = make_pair("unit", a=a)
@@ -122,6 +138,7 @@ _LYING_SEQUENCE = """
 from qbailey.errors import CertificateViolation
 from qbailey.pairs import BilateralSequence
 from qbailey.series import Series
+from qbailey.transforms import bailey_lemma
 seq = BilateralSequence(lambda n, c: Series.monomial(1, 0), lambda n: 2, name="liar")
 try:
     seq(0, 10)

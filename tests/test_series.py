@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qbailey.series import INF, Series, first_diff, series_equal
-from qbailey.errors import InvertZero
+from qbailey.series import INF, Series, first_diff, series_equal, truncated_sum
+from qbailey.errors import InvertZero, TruncationUnreachable
 
 
 def geometric(n, cutoff):
@@ -115,3 +115,68 @@ def test_first_diff_reports_smallest_divergence():
     order, diff = first_diff(a, b)
     assert order == 10
     assert diff == (4, 2, 3)
+
+
+def summed(floors, start=0, step=1, last=INF, cutoff=10):
+    """truncated_sum over terms x^j with the given floors; returns (sum, built js)."""
+    built = []
+
+    def at(j):
+        def build():
+            built.append(j)
+            return Series.monomial(1, j)
+        return floors(j), build
+
+    return truncated_sum(start, step, last, at, cutoff, "test sum"), built
+
+
+def test_truncated_sum_never_builds_a_skipped_term():
+    def at(j):
+        if j == 2:
+            return 10, lambda: pytest.fail("term 2 was built")
+        return 0, lambda: Series.monomial(1, j)
+
+    out = truncated_sum(0, 1, 4, at, 10, "test sum")
+    assert out.terms == {0: 1, 1: 1, 3: 1, 4: 1}
+
+
+def test_truncated_sum_stops_at_last():
+    out, built = summed(lambda j: 0, last=5)
+    assert built == [0, 1, 2, 3, 4, 5]
+    out, built = summed(lambda j: 0, start=-1, step=-1, last=-3)
+    assert built == [-1, -2, -3]
+    assert out.terms == {-1: 1, -2: 1, -3: 1}
+
+
+def test_truncated_sum_stops_after_four_skips_in_a_row():
+    calls = []
+
+    def floors(j):
+        calls.append(j)
+        return 0 if j in (0, 1, 3) else INF
+
+    out, built = summed(floors)
+    assert built == [0, 1, 3]
+    assert calls == [0, 1, 2, 3, 4, 5, 6, 7]
+
+
+def test_truncated_sum_raises_past_the_step_cap():
+    with pytest.raises(TruncationUnreachable, match="test sum"):
+        summed(lambda j: -1, cutoff=0)
+    # the cap is 10 * max(cutoff, 1) + 200 terms
+    out, built = summed(lambda j: -1, last=209, cutoff=0)
+    assert len(built) == 210
+
+
+def test_truncated_sum_does_not_count_identically_zero_indices():
+    # five None floors in a row, then a live term: the Nones are no skips
+    out, built = summed(lambda j: None if j < 5 else (0 if j == 5 else INF))
+    assert built == [5]
+    assert out.terms == {5: 1}
+
+
+@pytest.mark.xfail(strict=True, reason="the stop rule is a heuristic: four skipped "
+                   "terms end the sum even when a later floor dips below the cutoff")
+def test_truncated_sum_keeps_a_term_after_four_high_floors():
+    out, built = summed(lambda j: 20 if j < 4 else (0 if j == 4 else INF))
+    assert built == [4]
