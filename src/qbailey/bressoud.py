@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from .errors import BadParam, PoleError
 from .qparams import Q, QParam
-from .qfunctions import (FactorProduct, _expand, _poch_monos, fp_pp, poch, poch_recip,
-                         poch_val, sign)
+from .qfunctions import FactorProduct, fp_pp, poch_val, sign
 from .multisum import MultisumSpec, multisum_eval
-from .series import INF, Series, product_at, truncated_sum
+from .series import INF, Series, truncated_sum
 
 
 def _pp_floor(p: QParam, s: int):
@@ -75,25 +74,11 @@ def _times_a_quotient(fp, a: QParam, j: int):
 
     The quotient form stays finite at a = 1 (where (a)_j and (a)_oo vanish
     separately).  When a q^j is an exact nonpositive q-power, the vanishing
-    factor of (a q^j)_oo is split off into the cancellable denominator
-    multiset, where a matching (1 - a q^{2j'})-type zero from the correction
-    bracket can absorb it; the nonvanishing rest is inverted lazily.
+    factor (1 - q^0) of (a q^j)_oo sits in the denominator multiset of
+    ``fp``, where a matching (1 - a q^{2j'})-type zero from the correction
+    bracket cancels it; left uncancelled, it is a pole.
     """
-    arg = a.q_shift(2 * j)
-    v, kind = poch_val(arg, INF)
-    if kind == "zero":
-        t0 = -arg.halves // 2  # (1 - arg q^{t0}) is the vanishing factor
-        fp.times_factor(arg, 2 * t0, den=True)
-        rest_val = _a_quotient_floor(a, j)
-
-        def rest_recip(c, p=arg, v=rest_val):
-            monos, _ = _poch_monos(p, INF, 2, c - v)
-            return _expand((), [m for m in monos if m != (1, 0)], c)  # all but q^0
-
-        fp.times_lazy(rest_recip, rest_val)
-        return fp
-    fp.times_lazy(lambda c, p=arg: poch_recip(p, INF, c), -v)
-    return fp
+    return fp.times_poch(a.q_shift(2 * j), INF, den=True)
 
 
 def _a_quotient_floor(a: QParam, j: int):
@@ -303,14 +288,8 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             e += num.val() - den.val()
         return e
 
-    v_ab, kind_ab = poch_val(a_b1, INF)
-    if kind_ab == "zero":
-        return Series.zero(cutoff)
-    body = _jsum(coeff, floor, cutoff - v_ab, "master rhs")
-    return product_at(cutoff, [
-        (lambda c: poch(a_b1, INF, c), v_ab),
-        (lambda c, s=body: s, body.val()),
-    ])
+    return FactorProduct().times_poch(a_b1, INF).series_times(
+        lambda c: _jsum(coeff, floor, c, "master rhs"), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +298,10 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
 
 def bressoud_F(k, r, a, c1, c2, bs, cutoff) -> Series:
     """F = (j-sum side) * (a/b_2, ..., a/b_{2r-1})_oo."""
-    parts = [(lambda c: bressoud_rhs(k, r, a, c1, c2, bs, c), 0)]
+    pre = FactorProduct()
     for b in bs[1:]:
-        ab = a / b
-        v, kind = poch_val(ab, INF)
-        if kind == "zero":
-            return Series.zero(cutoff)
-        parts.append(((lambda p: (lambda c: poch(p, INF, c)))(ab), v))
-    return product_at(cutoff, parts)
+        pre.times_poch(a / b, INF)
+    return pre.series_times(lambda c: bressoud_rhs(k, r, a, c1, c2, bs, c), cutoff)
 
 
 def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
@@ -390,15 +365,9 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
 
     def term(chain, cut):
         fp = FactorProduct()
-        tails = []
-        tail_v = 0
         for d in range(2, r + 1):
             for arg in tail_args(d, chain[d - 2]):
-                v, kind = poch_val(arg, INF)
-                if kind == "zero":
-                    return Series.zero()
-                tails.append((arg, v))
-                tail_v += v
+                fp.times_poch(arg, INF)
         for d in range(1, depth + 1):
             s = chain[d - 1]
             fp.times_param_pow(a, s)
@@ -421,11 +390,6 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
         fp.times_poch(Q, s_last, den=True)
         fp.times_poch(aq_c1, s_last, den=True)
         fp.times_poch(aq_c2, s_last, den=True)
-        base_v = fp.val_bound()
-        if base_v == INF:
-            return Series.zero()
-        for arg, v in tails:
-            fp.times_series(poch(arg, INF, cut - base_v - (tail_v - v) + max(0, -v)))
         return fp.series(cut)
 
     spec = MultisumSpec(depth=depth, lower_bound=0, term=term, level_floor=level_floor)

@@ -1,10 +1,12 @@
 """Named multisum-equals-product identities and their evaluation.
 
-Each entry builds its left side as a nested multisum (via ``multisum``) and
-its right side as a finite combination of triple products over (q)_oo, read
-off the statement being verified.  Half-integer exponents are evaluated
-natively on the q^(1/2) lattice; the base-doubling reductions are separate
-cross-checks, not the implementation.
+Each entry builds its left side as a nested multisum (via ``multisum``),
+described by ``_chain_spec`` data, and its right side from data read off the
+statement being verified: a prefactor ``FactorProduct`` of infinite products
+times a finite sum of triple products (``_product_side``).  The two sides
+share no formula.  Half-integer exponents are evaluated natively on the
+q^(1/2) lattice; the base-doubling reductions are separate cross-checks, not
+the implementation.
 
 All (q)_m-style normalizations live inside the builders, so the series a
 caller sees are the stated forms of the identities.
@@ -18,10 +20,9 @@ from fractions import Fraction
 
 from .errors import BadParam, UnknownIdentity
 from .qparams import ONE, Q, QParam
-from .qfunctions import (FactorProduct, fp_pp, poch, poch_recip, poch_val,
-                         qbinom, sign, triple_product)
+from .qfunctions import FactorProduct, fp_pp, poch_val, qbinom, sign, triple_product
 from .multisum import MultisumSpec, multisum_eval
-from .series import INF, Series, first_diff, product_at
+from .series import INF, Series, first_diff
 from . import bressoud
 
 
@@ -29,24 +30,7 @@ def _neg(h):
     return QParam.finite(-1, h)
 
 
-def _tp(mod_halves, z_halves, cutoff) -> Series:
-    """(Q, q^(z/2), Q/q^(z/2); Q)_oo with Q = q^(mod/2)."""
-    return triple_product(QParam.finite(1, z_halves), cutoff, base=mod_halves)
-
-
-def _over_qinf(body: Series, cutoff) -> Series:
-    return product_at(cutoff, [
-        (lambda c: poch_recip(Q, INF, c), 0),
-        (lambda c: body, body.val()),
-    ])
-
-
-def _tail_qinf(terms, cutoff) -> Series:
-    """sum of (coeff, qpow_halves, mod_halves, z_halves) triple products over (q)_oo."""
-    body = Series.zero()
-    for coeff, h, mod, z in terms:
-        body = body + _tp(mod, z, cutoff - min(0, h)).times_monomial(coeff, h)
-    return _over_qinf(body.truncate(cutoff), cutoff)
+_Q2 = QParam.finite(1, 4)
 
 
 @dataclass
@@ -131,35 +115,34 @@ def _need(cond, msg):
         raise BadParam(msg)
 
 
+
 # ---------------------------------------------------------------------------
-# generic chain builder
+# the two builders: chain multisums and product sides
 # ---------------------------------------------------------------------------
 
-def _chain_spec(depth, lb, expo, extra=None, links=None, tail=None, last_upper=None,
+def _chain_spec(depth, lb, expo, links=None, extra=None, last_upper=None,
                 extra_floor=None):
     """Multisum over s_1 >= ... >= s_depth >= lb.
 
     expo(d, s): halves of the q-power carried by s_d (certified floor as well).
-    extra(fp, chain): install remaining factors on the FactorProduct.
-    links: list of base_halves for the denominators (q^b)_{s_d - s_{d+1}},
-           one entry per link d = 1..depth-1; default all base q.
-    tail(fp, chain): factors indexed by the last variable.
+    links: base halves b of the denominators (Q;Q)_{s_d - s_{d+1}}, Q = q^(b/2),
+           one entry per link d = 1..depth-1, plus an optional last entry for
+           the final denominator (Q;Q)_{s_depth}; default depth-1 links of
+           base q and no final denominator.
+    extra(fp, chain): install the remaining factors on the FactorProduct.
     extra_floor(d, s): certified extra valuation carried by s_d.
     """
-    link_bases = links or [2] * (depth - 1)
+    link_bases = [2] * (depth - 1) if links is None else links
 
     def term(chain, cut):
         fp = FactorProduct()
         for d in range(1, depth + 1):
             fp.times_qpow(expo(d, chain[d - 1]))
-            if d >= 2:
-                fp.times_poch(QParam.finite(1, link_bases[d - 2]),
-                              chain[d - 2] - chain[d - 1],
-                              base=link_bases[d - 2], den=True)
+        for d, b in enumerate(link_bases, 1):
+            below = chain[d] if d < depth else 0
+            fp.times_poch(QParam.finite(1, b), chain[d - 1] - below, base=b, den=True)
         if extra is not None:
             extra(fp, chain)
-        if tail is not None:
-            tail(fp, chain)
         return fp.series(cut)
 
     def level_floor(d, s):
@@ -172,6 +155,43 @@ def _chain_spec(depth, lb, expo, extra=None, links=None, tail=None, last_upper=N
                         level_floor=level_floor, last_upper=last_upper)
 
 
+def _product_side(side):
+    """The right side described by side(p) = (prefactor, terms).
+
+    ``prefactor`` is a FactorProduct of infinite products (mbr37 adds one
+    finite factor).  ``terms`` lists (coeff, h, mod, z) for
+    coeff q^(h/2) (Q, q^(z/2), Q/q^(z/2); Q)_oo with Q = q^(mod/2).  The side
+    is the prefactor times the sum of the terms, or the prefactor alone when
+    there are none.
+    """
+    def rhs(p, cutoff):
+        pre, terms = side(p)
+        if not terms:
+            return pre.series(cutoff)
+
+        def body(c):
+            out = Series.zero()
+            for coeff, h, mod, z in terms:
+                tp = triple_product(QParam.finite(1, z), c - min(0, h), base=mod)
+                out = out + tp.times_monomial(coeff, h)
+            return out.truncate(c)
+
+        return pre.series_times(body, cutoff)
+
+    return rhs
+
+
+def _over_q():
+    """1/(q;q)_oo, the prefactor of most product sides."""
+    return FactorProduct().times_poch(Q, INF, den=True)
+
+
+def _neg_q_over_q2():
+    """(-q;q^2)_oo/(q^2;q^2)_oo, the prefactor of the doubled-base sides."""
+    return (FactorProduct().times_poch(_neg(2), INF, base=4)
+            .times_poch(_Q2, INF, base=4, den=True))
+
+
 # ---------------------------------------------------------------------------
 # classical identities
 # ---------------------------------------------------------------------------
@@ -182,22 +202,20 @@ def _v_rr(p):
 
 def _lhs_rr(p, cutoff):
     i = p["i"]
-    spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + (1 - i) * s),
-                       tail=lambda fp, ch: fp.times_poch(Q, ch[0], den=True))
+    spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + (1 - i) * s), links=[2])
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_rr(p, cutoff):
+def _rhs_rr(p):
     i = p["i"]
-    parts = []
+    pre = FactorProduct()
     for e in (2 - i, 3 + i):
-        arg = QParam.finite(1, 2 * e)
-        parts.append(((lambda aa: (lambda c: poch_recip(aa, INF, c, base=10)))(arg), 0))
-    return product_at(cutoff, parts)
+        pre.times_poch(QParam.finite(1, 2 * e), INF, base=10, den=True)
+    return pre, ()
 
 
 _register(name="rr", summary="two single-sum identities with modulus-5 products",
-          int_params=("i",), validate=_v_rr, lhs=_lhs_rr, rhs=_rhs_rr,
+          int_params=("i",), validate=_v_rr, lhs=_lhs_rr, rhs=_product_side(_rhs_rr),
           domain_doc="i in {0,1}")
 
 
@@ -208,20 +226,19 @@ def _v_ag(p):
 
 def _lhs_ag(p, cutoff):
     r, i = p["r"], p["i"]
-    spec = _chain_spec(
-        r - 1, 0,
-        lambda d, s: 2 * s * s + (2 * s if d >= i else 0),
-        tail=lambda fp, ch: fp.times_poch(Q, ch[-1], den=True))
+    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s + (2 * s if d >= i else 0),
+                       links=[2] * (r - 1))
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_ag(p, cutoff):
+def _rhs_ag(p):
     r, i = p["r"], p["i"]
-    return _tail_qinf([(1, 0, 2 * (2 * r + 1), 2 * i)], cutoff)
+    return _over_q(), [(1, 0, 2 * (2 * r + 1), 2 * i)]
 
 
 _register(name="ag", summary="odd-moduli multisum family", int_params=("r", "i"),
-          validate=_v_ag, lhs=_lhs_ag, rhs=_rhs_ag, domain_doc="r >= 2, 1 <= i <= r")
+          validate=_v_ag, lhs=_lhs_ag, rhs=_product_side(_rhs_ag),
+          domain_doc="r >= 2, 1 <= i <= r")
 
 
 def _v_i_upto_rm1(p):
@@ -231,22 +248,19 @@ def _v_i_upto_rm1(p):
 
 def _lhs_br33(p, cutoff):
     r, i = p["r"], p["i"]
-    spec = _chain_spec(
-        r - 1, 0,
-        lambda d, s: 2 * s * s - (2 * s if d <= i else 0),
-        tail=lambda fp, ch: fp.times_poch(Q, ch[-1], den=True))
+    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s - (2 * s if d <= i else 0),
+                       links=[2] * (r - 1))
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_br33(p, cutoff):
+def _rhs_br33(p):
     r, i = p["r"], p["i"]
-    return _tail_qinf([(1, 0, 2 * (2 * r + 1), 2 * (r - i + k)) for k in range(i + 1)],
-                      cutoff)
+    return _over_q(), [(1, 0, 2 * (2 * r + 1), 2 * (r - i + k)) for k in range(i + 1)]
 
 
 _register(name="br33", summary="odd-moduli companion with k-indexed tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_br33, rhs=_rhs_br33,
-          domain_doc="r >= 2, 0 <= i <= r-1")
+          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_br33,
+          rhs=_product_side(_rhs_br33), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _v_m_family(p, i_hi_off=0):
@@ -276,23 +290,21 @@ def _lhs_mag(p, cutoff):
             e += s * (s - 1)
         return e
 
-    spec = _chain_spec(
-        r, -(m // 2), expo,
-        tail=lambda fp, ch: _shifted_binom_tail(fp, m, ch[-1]),
-        last_upper=0)
+    spec = _chain_spec(r, -(m // 2), expo,
+                       extra=lambda fp, ch: _shifted_binom_tail(fp, m, ch[-1]),
+                       last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_mag(p, cutoff):
+def _rhs_mag(p):
     m, r, i = p["m"], p["r"], p["i"]
-    return _tail_qinf(
-        [(1, 2 * m * k, 2 * (2 * r + 1), 2 * ((m + 1) * r - i + 2 * k))
-         for k in range(i + 1)], cutoff)
+    return _over_q(), [(1, 2 * m * k, 2 * (2 * r + 1), 2 * ((m + 1) * r - i + 2 * k))
+                       for k in range(i + 1)]
 
 
 _register(name="mag", summary="m-interpolated odd-moduli family",
           int_params=("m", "r", "i"), validate=_v_m_family, lhs=_lhs_mag,
-          rhs=_rhs_mag, domain_doc="m >= 0, r >= 2, 0 <= i <= r")
+          rhs=_product_side(_rhs_mag), domain_doc="m >= 0, r >= 2, 0 <= i <= r")
 
 
 def _v_beven(p):
@@ -302,94 +314,86 @@ def _v_beven(p):
 
 def _lhs_beven(p, cutoff):
     r, i = p["r"], p["i"]
-    q2 = QParam.finite(1, 4)
-    spec = _chain_spec(
-        r - 1, 0,
-        lambda d, s: 2 * s * s + (2 * s if d >= i else 0),
-        tail=lambda fp, ch: fp.times_poch(q2, ch[-1], base=4, den=True))
+    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s + (2 * s if d >= i else 0),
+                       links=[2] * (r - 2) + [4])
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_beven(p, cutoff):
+def _rhs_beven(p):
     r, i = p["r"], p["i"]
-    return _tail_qinf([(1, 0, 4 * r, 2 * i)], cutoff)
+    return _over_q(), [(1, 0, 4 * r, 2 * i)]
 
 
 _register(name="bressoud_even", summary="even-moduli multisum family",
-          int_params=("r", "i"), validate=_v_beven, lhs=_lhs_beven, rhs=_rhs_beven,
-          domain_doc="r >= 2, 1 <= i <= r")
+          int_params=("r", "i"), validate=_v_beven, lhs=_lhs_beven,
+          rhs=_product_side(_rhs_beven), domain_doc="r >= 2, 1 <= i <= r")
 
 
 def _lhs_br35(p, cutoff):
     r, i = p["r"], p["i"]
-    q2 = QParam.finite(1, 4)
-    spec = _chain_spec(
-        r - 1, 0,
-        lambda d, s: 2 * s * s - (2 * s if d <= i else 0),
-        tail=lambda fp, ch: fp.times_poch(q2, ch[-1], base=4, den=True))
+    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s - (2 * s if d <= i else 0),
+                       links=[2] * (r - 2) + [4])
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_br35(p, cutoff):
+def _rhs_br35(p):
     r, i = p["r"], p["i"]
-    return _tail_qinf([(1, 0, 4 * r, 2 * (r - i + 2 * k)) for k in range(i + 1)],
-                      cutoff)
+    return _over_q(), [(1, 0, 4 * r, 2 * (r - i + 2 * k)) for k in range(i + 1)]
 
 
 _register(name="br35", summary="even-moduli companion with k-indexed tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_br35, rhs=_rhs_br35,
-          domain_doc="r >= 2, 0 <= i <= r-1")
+          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_br35,
+          rhs=_product_side(_rhs_br35), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_mb(p, cutoff):
     m, r, i = p["m"], p["r"], p["i"]
-    links = [2] * (r - 2) + [4]
 
     def expo(d, s):
         return 2 * s * s + (2 * m * s if d <= r - 1 else 0) - (2 * s if d <= i else 0)
 
-    def tail(fp, ch):
+    def extra(fp, ch):
         s = ch[-1]
         fp.times_poch(_neg(2), m + 2 * s - 1)
         _shifted_binom_tail(fp, m, s, base=4)
 
-    spec = _chain_spec(r, -(m // 2), expo, links=links, tail=tail, last_upper=0)
+    spec = _chain_spec(r, -(m // 2), expo, links=[2] * (r - 2) + [4], extra=extra,
+                       last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_mb(p, cutoff):
+def _rhs_mb(p):
     m, r, i = p["m"], p["r"], p["i"]
     if m % 2 == 0:
         mm = m // 2
-        terms = [(Fraction(sign(l), 2), 4 * mm * k + 4 * mm * l, 4 * r,
-                  2 * (2 * mm * (r - 1) + r - i + 2 * k + 2 * l))
-                 for k in range(i + 1) for l in range(2 * mm + 1)]
-        return _tail_qinf(terms, cutoff)
+        return _over_q(), [(Fraction(sign(l), 2), 4 * mm * k + 4 * mm * l, 4 * r,
+                            2 * (2 * mm * (r - 1) + r - i + 2 * k + 2 * l))
+                           for k in range(i + 1) for l in range(2 * mm + 1)]
     mm = (m - 1) // 2
-    pre = 2 * ((2 - r) * mm * mm + (1 + i - r) * mm)
-    terms = [(sign(mm), pre + 4 * l, 4 * r, 2 * (2 * r - 2 * mm - 1 - i + 4 * l))
-             for l in range(mm + 1)]
-    return _tail_qinf(terms, cutoff)
+    h0 = 2 * ((2 - r) * mm * mm + (1 + i - r) * mm)
+    return _over_q(), [(sign(mm), h0 + 4 * l, 4 * r, 2 * (2 * r - 2 * mm - 1 - i + 4 * l))
+                       for l in range(mm + 1)]
 
 
-def mb_rhs_odd_i(p, cutoff):
+def _rhs_mb_odd_i(p):
     """The single closed form valid for odd i and every m >= 0."""
     m, r, i = p["m"], p["r"], p["i"]
     _need(i % 2 == 1, "closed form only for odd i")
-    terms = [(1, 4 * m * k, 4 * r, 2 * (m * (r - 1) + r - i + 4 * k))
-             for k in range((i - 1) // 2 + 1)]
-    return _tail_qinf(terms, cutoff)
+    return _over_q(), [(1, 4 * m * k, 4 * r, 2 * (m * (r - 1) + r - i + 4 * k))
+                       for k in range((i - 1) // 2 + 1)]
 
+
+mb_rhs_odd_i = _product_side(_rhs_mb_odd_i)
 
 _register(name="mb", summary="m-interpolated even-moduli family (parity-split tail)",
           int_params=("m", "r", "i"),
-          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mb, rhs=_rhs_mb,
+          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mb,
+          rhs=_product_side(_rhs_mb),
           domain_doc="m >= 0, r >= 2, 0 <= i <= r-1 (the i = r edge diverges)")
 
 
 def _lhs_fij0(p, cutoff):
     r, i = p["r"], p["i"]
-    q2 = QParam.finite(1, 4)
 
     def expo(d, s):
         e = 2 * s * s + (2 * s if d >= i else 0)
@@ -397,28 +401,25 @@ def _lhs_fij0(p, cutoff):
             e += 2 * s
         return e
 
-    def tail(fp, ch):
-        fp.times_poch(q2, ch[-1], base=4, den=True)
-        fp.times_series(Series({0: 1, 2: 1}))  # the (1+q) prefactor
-
-    spec = _chain_spec(r - 1, 0, expo, tail=tail)
+    # the (1+q) prefactor is the factor (1 - (-q))
+    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 2) + [4],
+                       extra=lambda fp, ch: fp.times_factor(_neg(2)))
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_fij0(p, cutoff):
+def _rhs_fij0(p):
     r, i = p["r"], p["i"]
-    return _tail_qinf([(1, 0, 4 * r, 2 * (2 * r - i - 1)),
-                       (1, 2, 4 * r, 2 * (2 * r - i + 1))], cutoff)
+    return _over_q(), [(1, 0, 4 * r, 2 * (2 * r - i - 1)),
+                       (1, 2, 4 * r, 2 * (2 * r - i + 1))]
 
 
 _register(name="fij0", summary="doubled even-moduli companion, two-product tail",
-          int_params=("r", "i"), validate=_v_beven, lhs=_lhs_fij0, rhs=_rhs_fij0,
-          domain_doc="r >= 2, 1 <= i <= r")
+          int_params=("r", "i"), validate=_v_beven, lhs=_lhs_fij0,
+          rhs=_product_side(_rhs_fij0), domain_doc="r >= 2, 1 <= i <= r")
 
 
 def _lhs_fij(p, cutoff):
     r, i = p["r"], p["i"]
-    q2 = QParam.finite(1, 4)
 
     def expo(d, s):
         e = 2 * s * s - (2 * s if d <= i else 0)
@@ -426,25 +427,22 @@ def _lhs_fij(p, cutoff):
             e += 2 * s
         return e
 
-    spec = _chain_spec(r - 1, 0, expo,
-                       tail=lambda fp, ch: fp.times_poch(q2, ch[-1], base=4, den=True))
+    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 2) + [4])
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_fij(p, cutoff):
+def _rhs_fij(p):
     r, i = p["r"], p["i"]
-    return _tail_qinf([(1, 0, 4 * r, 2 * (r - i + 2 * k - 1)) for k in range(i + 1)],
-                      cutoff)
+    return _over_q(), [(1, 0, 4 * r, 2 * (r - i + 2 * k - 1)) for k in range(i + 1)]
 
 
 _register(name="fij", summary="even-moduli companion with shifted tail products",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_fij, rhs=_rhs_fij,
-          domain_doc="r >= 2, 0 <= i <= r-1")
+          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_fij,
+          rhs=_product_side(_rhs_fij), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_mfij(p, cutoff):
     m, r, i = p["m"], p["r"], p["i"]
-    links = [2] * (r - 2) + [4]
 
     def expo(d, s):
         e = 2 * s * s + (2 * m * s if d <= r - 1 else 0) - (2 * s if d <= i else 0)
@@ -454,26 +452,26 @@ def _lhs_mfij(p, cutoff):
             e -= 4 * s
         return e
 
-    def tail(fp, ch):
+    def extra(fp, ch):
         s = ch[-1]
         fp.times_poch(_neg(2), m + 2 * s)
         _shifted_binom_tail(fp, m, s, base=4)
 
-    spec = _chain_spec(r, -(m // 2), expo, links=links, tail=tail, last_upper=0)
+    spec = _chain_spec(r, -(m // 2), expo, links=[2] * (r - 2) + [4], extra=extra,
+                       last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_mfij(p, cutoff):
+def _rhs_mfij(p):
     m, r, i = p["m"], p["r"], p["i"]
-    return _tail_qinf(
-        [(1, 2 * m * k, 4 * r, 2 * ((m + 1) * (r - 1) - i + 2 * k))
-         for k in range(i + 1)], cutoff)
+    return _over_q(), [(1, 2 * m * k, 4 * r, 2 * ((m + 1) * (r - 1) - i + 2 * k))
+                       for k in range(i + 1)]
 
 
 _register(name="mfij", summary="m-interpolated doubled-companion family",
           int_params=("m", "r", "i"),
           validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mfij,
-          rhs=_rhs_mfij,
+          rhs=_product_side(_rhs_mfij),
           domain_doc="m >= 0, r >= 2, 0 <= i <= r-1 (the i = r edge diverges)")
 
 
@@ -483,105 +481,66 @@ def _v_gg(p):
 
 def _lhs_gg(p, cutoff):
     i = p["i"]
-    q2 = QParam.finite(1, 4)
-
-    def tail(fp, ch):
-        s = ch[0]
-        fp.times_poch(_neg(2), s, base=4)
-        fp.times_poch(q2, s, base=4, den=True)
-
-    spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + 2 * (1 - i) * s), tail=tail)
+    spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + 2 * (1 - i) * s), links=[4],
+                       extra=lambda fp, ch: fp.times_poch(_neg(2), ch[0], base=4))
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_gg(p, cutoff):
+def _rhs_gg(p):
     i = p["i"]
-    parts = []
+    pre = FactorProduct()
     for e in (3 - 2 * i, 4, 5 + 2 * i):
-        arg = QParam.finite(1, 2 * e)
-        parts.append(((lambda aa: (lambda c: poch_recip(aa, INF, c, base=16)))(arg), 0))
-    return product_at(cutoff, parts)
+        pre.times_poch(QParam.finite(1, 2 * e), INF, base=16, den=True)
+    return pre, ()
 
 
 _register(name="gg", summary="single-sum modulus-8 pair", int_params=("i",),
-          validate=_v_gg, lhs=_lhs_gg, rhs=_rhs_gg, domain_doc="i in {0,1}")
+          validate=_v_gg, lhs=_lhs_gg, rhs=_product_side(_rhs_gg),
+          domain_doc="i in {0,1}")
 
 
 # ---------------------------------------------------------------------------
 # the doubled-base quadruple and their m-versions
 # ---------------------------------------------------------------------------
 
-def _lhs_b36(p, cutoff):
-    r, i = p["r"], p["i"]
-    q2 = QParam.finite(1, 4)
-
-    def tail(fp, ch):
-        s = ch[-1]
-        fp.times_poch(q2, s, base=4, den=True)
-
-    def extra(fp, ch):
-        s = ch[-1]
-        arg = _neg(2 + 4 * s)  # -q^{1+2 s_{r-1}} in base q^2
-        v, kind = poch_val(arg, INF, base=4)
-        fp.times_series(poch(arg, INF, cutoff + max(0, -v) + 4, base=4))
-
-    spec = _chain_spec(r - 1, 0,
-                       lambda d, s: 4 * (s * s - (s if d <= i else 0)),
-                       links=[4] * (r - 2), extra=extra, tail=tail)
+def _b3x_lhs(r, expo, neg_halves, cutoff):
+    """Doubled-base chain over s_1..s_{r-1} with (-q^(neg/2) q^{2 s_{r-1}};q^2)_oo."""
+    spec = _chain_spec(r - 1, 0, expo, links=[4] * (r - 1),
+                       extra=lambda fp, ch: fp.times_poch(_neg(neg_halves + 4 * ch[-1]),
+                                                          INF, base=4))
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_b36(p, cutoff):
+def _lhs_b36(p, cutoff):
     r, i = p["r"], p["i"]
-    return _b3x_rhs([(1, 0, 8 * r, 2 * (2 * r - 2 * i + 2 * k - 1))
-                     for k in range(i + 1)], cutoff)
+    return _b3x_lhs(r, lambda d, s: 4 * (s * s - (s if d <= i else 0)), 2, cutoff)
 
 
-def _b3x_rhs(terms, cutoff):
-    """(-q;q^2)_oo/(q^2;q^2)_oo times a finite sum of triple products."""
-    body = Series.zero()
-    for coeff, h, mod, z in terms:
-        body = body + _tp(mod, z, cutoff - min(0, h)).times_monomial(coeff, h)
-    body = body.truncate(cutoff)
-    v1, _ = poch_val(_neg(2), INF, base=4)
-    return product_at(cutoff, [
-        (lambda c: poch(_neg(2), INF, c, base=4), v1),
-        (lambda c: poch_recip(QParam.finite(1, 4), INF, c, base=4), 0),
-        (lambda c: body, body.val()),
-    ])
+def _rhs_b36(p):
+    r, i = p["r"], p["i"]
+    return _neg_q_over_q2(), [(1, 0, 8 * r, 2 * (2 * r - 2 * i + 2 * k - 1))
+                              for k in range(i + 1)]
 
 
 _register(name="b36", summary="doubled-base modulus-4r family, k-tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b36, rhs=_rhs_b36,
-          domain_doc="r >= 2, 0 <= i <= r-1")
+          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b36,
+          rhs=_product_side(_rhs_b36), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_b37(p, cutoff):
     r, i = p["r"], p["i"]
-    q2 = QParam.finite(1, 4)
-
-    def extra(fp, ch):
-        s = ch[-1]
-        arg = _neg(6 + 4 * s)  # -q^{3+2 s_{r-1}} in base q^2
-        v, kind = poch_val(arg, INF, base=4)
-        fp.times_series(poch(arg, INF, cutoff + max(0, -v) + 4, base=4))
-
-    spec = _chain_spec(r - 1, 0,
-                       lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)),
-                       links=[4] * (r - 2), extra=extra,
-                       tail=lambda fp, ch: fp.times_poch(q2, ch[-1], base=4, den=True))
-    return multisum_eval(spec, cutoff)
+    return _b3x_lhs(r, lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)), 6, cutoff)
 
 
-def _rhs_b37(p, cutoff):
+def _rhs_b37(p):
     r, i = p["r"], p["i"]
-    return _b3x_rhs([(sign(k), 2 * k, 8 * r, 2 * (2 * i + 1 - 2 * k))
-                     for k in range(i + 1)], cutoff)
+    return _neg_q_over_q2(), [(sign(k), 2 * k, 8 * r, 2 * (2 * i + 1 - 2 * k))
+                              for k in range(i + 1)]
 
 
 _register(name="b37", summary="doubled-base modulus-4r family, signed k-tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b37, rhs=_rhs_b37,
-          domain_doc="r >= 2, 0 <= i <= r-1")
+          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b37,
+          rhs=_product_side(_rhs_b37), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_b38(p, cutoff, last_base=4):
@@ -598,37 +557,34 @@ def _lhs_b38(p, cutoff, last_base=4):
             return v
         return 0
 
-    spec = _chain_spec(r - 1, 0,
-                       lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)),
-                       links=[4] * (r - 2), extra=extra, extra_floor=extra_floor,
-                       tail=lambda fp, ch: fp.times_poch(
-                           QParam.finite(1, last_base), ch[-1], base=last_base,
-                           den=True))
+    spec = _chain_spec(r - 1, 0, lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)),
+                       links=[4] * (r - 2) + [last_base], extra=extra,
+                       extra_floor=extra_floor)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_b38(p, cutoff):
+def _rhs_b38(p):
     r, i = p["r"], p["i"]
-    return _b3x_rhs([(1, 0, 8 * r, 2 * (2 * i + 1))], cutoff)
+    return _neg_q_over_q2(), [(1, 0, 8 * r, 2 * (2 * i + 1))]
 
 
 _register(name="b38", summary="doubled-base single-product family",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b38, rhs=_rhs_b38,
-          domain_doc="r >= 2, 0 <= i <= r-1")
+          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b38,
+          rhs=_product_side(_rhs_b38), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_b39(p, cutoff):
     return _lhs_b38(p, cutoff, last_base=8)
 
 
-def _rhs_b39(p, cutoff):
+def _rhs_b39(p):
     r, i = p["r"], p["i"]
-    return _b3x_rhs([(1, 0, 8 * r - 4, 2 * (2 * i + 1))], cutoff)
+    return _neg_q_over_q2(), [(1, 0, 8 * r - 4, 2 * (2 * i + 1))]
 
 
 _register(name="b39", summary="doubled-base single-product family, shifted modulus",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b39, rhs=_rhs_b39,
-          domain_doc="r >= 2, 0 <= i <= r-1")
+          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b39,
+          rhs=_product_side(_rhs_b39), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_mbr36(p, cutoff):
@@ -644,24 +600,22 @@ def _lhs_mbr36(p, cutoff):
         fp.times_poch(_neg(m + 1), ch[-1])
         if r >= 2:
             fp.times_poch(_neg(m + 1), ch[-2], den=True)
+        _shifted_binom_tail(fp, m, ch[-1])
 
-    spec = _chain_spec(r, -(m // 2), expo, extra=extra,
-                       tail=lambda fp, ch: _shifted_binom_tail(fp, m, ch[-1]),
-                       last_upper=0)
+    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_mbr36(p, cutoff):
+def _rhs_mbr36(p):
     m, r, i = p["m"], p["r"], p["i"]
-    return _tail_qinf(
-        [(1, 2 * m * k, 4 * r, 2 * ((m + 1) * r - i + 2 * k) - (m + 1))
-         for k in range(i + 1)], cutoff)
+    return _over_q(), [(1, 2 * m * k, 4 * r, 2 * ((m + 1) * r - i + 2 * k) - (m + 1))
+                       for k in range(i + 1)]
 
 
 _register(name="mbr36", summary="half-lattice m-version, even and doubled pair",
           int_params=("m", "r", "i"),
           validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr36,
-          rhs=_rhs_mbr36,
+          rhs=_product_side(_rhs_mbr36),
           domain_doc="m >= 0, r >= 2, 0 <= i <= r-1 (the i = r edge diverges)")
 
 
@@ -680,44 +634,37 @@ def _lhs_mbr37(p, cutoff):
         fp.times_poch(_neg(m), ch[-1])
         if r >= 2:
             fp.times_poch(_neg(2 + m), ch[-2], den=True)
+        _shifted_binom_tail(fp, m, ch[-1])
 
-    spec = _chain_spec(r, -(m // 2), expo, extra=extra,
-                       tail=lambda fp, ch: _shifted_binom_tail(fp, m, ch[-1]),
-                       last_upper=0)
+    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_mbr37(p, cutoff):
+def _rhs_mbr37(p):
     m, r, i = p["m"], p["r"], p["i"]
     if m % 2 == 0:
         mm = m // 2
-        one_plus = Series.one() + Series.monomial(1, 2 * mm)  # 1 + q^m
         terms = [(Fraction(sign(l), 2), 4 * mm * k + 2 * mm * l, 4 * r,
                   2 * (2 * mm * r + r - i - mm + 2 * k + l))
                  for k in range(i + 1) for l in range(2 * mm + 1)]
     else:
         mm = (m - 1) // 2
-        one_plus = Series.one() + Series.monomial(1, 2 * mm + 1)  # 1 + q^{(2m+1)/2}
-        pre = 2 * (1 - r) * mm * mm + (1 + 2 * i - 2 * r) * mm
+        h0 = 2 * (1 - r) * mm * mm + (1 + 2 * i - 2 * r) * mm
         terms = []
         for k in range(i + 1):
             for l in range(mm + 1):
-                h = pre + 2 * k + 2 * l
+                h = h0 + 2 * k + 2 * l
                 terms.append((Fraction(sign(mm), 2), h, 4 * r,
                               2 * (2 * r - i - mm + 2 * k + 2 * l) - 1))
                 terms.append((Fraction(-sign(mm), 2), h + 1, 4 * r,
                               2 * (2 * r - i - mm + 2 * k + 2 * l) + 1))
-    body = _tail_qinf(terms, cutoff)
-    return product_at(cutoff, [
-        (lambda c: one_plus, 0),
-        (lambda c: body, body.val()),
-    ])
+    return _over_q().times_factor(_neg(m)), terms  # (1 + q^(m/2)) / (q;q)_oo
 
 
 _register(name="mbr37", summary="half-lattice m-version with parity-split tail",
           int_params=("m", "r", "i"),
           validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr37,
-          rhs=_rhs_mbr37, domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
+          rhs=_product_side(_rhs_mbr37), domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
 
 
 def _mbr89_expo(m, i, r):
@@ -738,40 +685,31 @@ def _lhs_mbr38(p, cutoff):
 
     def extra(fp, ch):
         fp.times_poch(_neg(m), ch[0])
+        _shifted_binom_tail(fp, m, ch[-1], with_csq=True)
 
-    spec = _chain_spec(r, -(m // 2), _mbr89_expo(m, i, r), extra=extra,
-                       tail=lambda fp, ch: _shifted_binom_tail(fp, m, ch[-1],
-                                                               with_csq=True),
-                       last_upper=0)
+    spec = _chain_spec(r, -(m // 2), _mbr89_expo(m, i, r), extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_mbr38(p, cutoff):
+def _rhs_mbr38(p):
     m, r, i = p["m"], p["r"], p["i"]
     if m % 2 == 0:
         mm = m // 2
         terms = [(Fraction(sign(l), 2), 2 * mm * (k + l), 4 * r,
                   2 * (2 * mm * r + r - i - mm + k + l))
                  for k in range(2 * i + 1) for l in range(2 * mm + 1)]
-        pre = _neg(2 * mm)
     else:
         mm = (m - 1) // 2
         h0 = 2 * (1 - r) * mm * mm + (1 + 2 * i - 2 * r) * mm
         terms = [(sign(mm), h0 + 2 * l, 4 * r,
                   2 * (2 * r - i - mm + 2 * l) - 1) for l in range(mm + 1)]
-        pre = _neg(2 * mm + 1)
-    body = _tail_qinf(terms, cutoff)
-    v1, _ = poch_val(pre, INF)
-    return product_at(cutoff, [
-        (lambda c: poch(pre, INF, c), v1),
-        (lambda c: body, body.val()),
-    ])
+    return _over_q().times_poch(_neg(m), INF), terms  # (-q^(m/2);q)_oo / (q;q)_oo
 
 
 _register(name="mbr38", summary="half-lattice m-version with 2i-tail",
           int_params=("m", "r", "i"),
           validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr38,
-          rhs=_rhs_mbr38, domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
+          rhs=_product_side(_rhs_mbr38), domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_mbr39(p, cutoff):
@@ -788,39 +726,31 @@ def _lhs_mbr39(p, cutoff):
         fp.times_poch(_neg(m + 1), ch[-1])
         if r >= 2:
             fp.times_poch(_neg(m + 1), ch[-2], den=True)
+        _shifted_binom_tail(fp, m, ch[-1])
 
-    spec = _chain_spec(r, -(m // 2), expo, extra=extra,
-                       tail=lambda fp, ch: _shifted_binom_tail(fp, m, ch[-1]),
-                       last_upper=0)
+    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_mbr39(p, cutoff):
+def _rhs_mbr39(p):
     m, r, i = p["m"], p["r"], p["i"]
     if m % 2 == 0:
         mm = m // 2
         terms = [(Fraction(sign(l), 2), 2 * mm * (k + l), 4 * r - 2,
                   2 * (2 * mm * r + r - i - 2 * mm + k + l) - 1)
                  for k in range(2 * i + 1) for l in range(2 * mm + 1)]
-        pre = _neg(2 * mm)
     else:
         mm = (m - 1) // 2
         h0 = (3 - 2 * r) * mm * mm + 2 * (1 + i - r) * mm
         terms = [(sign(mm), h0 + 2 * l, 4 * r - 2,
                   2 * (2 * r - i - mm + 2 * l) - 3) for l in range(mm + 1)]
-        pre = _neg(2 * mm + 1)
-    body = _tail_qinf(terms, cutoff)
-    v1, _ = poch_val(pre, INF)
-    return product_at(cutoff, [
-        (lambda c: poch(pre, INF, c), v1),
-        (lambda c: body, body.val()),
-    ])
+    return _over_q().times_poch(_neg(m), INF), terms  # (-q^(m/2);q)_oo / (q;q)_oo
 
 
 _register(name="mbr39", summary="half-lattice m-version, shifted modulus",
           int_params=("m", "r", "i"),
           validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr39,
-          rhs=_rhs_mbr39, domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
+          rhs=_product_side(_rhs_mbr39), domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_new1(p, cutoff, with_half_tail=False):
@@ -836,45 +766,34 @@ def _lhs_new1(p, cutoff, with_half_tail=False):
         if with_half_tail:
             fp.times_poch(_neg(1), ch[-1], den=True)
 
-    spec = _chain_spec(r - 1, 0, expo, extra=extra,
-                       tail=lambda fp, ch: fp.times_poch(Q, ch[-1], den=True))
+    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 1), extra=extra)
     return multisum_eval(spec, cutoff)
 
 
-def _rhs_new1(p, cutoff):
+def _rhs_new1(p):
     r, i = p["r"], p["i"]
-    terms = [(1, 0, 4 * r, 2 * (r - i + k)) for k in range(2 * i + 1)]
-    body = _tail_qinf(terms, cutoff)
-    v1, _ = poch_val(_neg(2), INF)
-    return product_at(cutoff, [
-        (lambda c: poch(_neg(2), INF, c), v1),
-        (lambda c: body, body.val()),
-    ])
+    return (_over_q().times_poch(_neg(2), INF),
+            [(1, 0, 4 * r, 2 * (r - i + k)) for k in range(2 * i + 1)])
 
 
 _register(name="new1", summary="companion with (-1)_{s_1} insertion",
           int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_new1,
-          rhs=_rhs_new1, domain_doc="r >= 2, 0 <= i <= r-1")
+          rhs=_product_side(_rhs_new1), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 def _lhs_new2(p, cutoff):
     return _lhs_new1(p, cutoff, with_half_tail=True)
 
 
-def _rhs_new2(p, cutoff):
+def _rhs_new2(p):
     r, i = p["r"], p["i"]
-    terms = [(1, 0, 4 * r - 2, 2 * (r - i + k) - 1) for k in range(2 * i + 1)]
-    body = _tail_qinf(terms, cutoff)
-    v1, _ = poch_val(_neg(2), INF)
-    return product_at(cutoff, [
-        (lambda c: poch(_neg(2), INF, c), v1),
-        (lambda c: body, body.val()),
-    ])
+    return (_over_q().times_poch(_neg(2), INF),
+            [(1, 0, 4 * r - 2, 2 * (r - i + k) - 1) for k in range(2 * i + 1)])
 
 
 _register(name="new2", summary="half-lattice companion with (-1)_{s_1} insertion",
           int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_new2,
-          rhs=_rhs_new2, domain_doc="r >= 2, 0 <= i <= r-1")
+          rhs=_product_side(_rhs_new2), domain_doc="r >= 2, 0 <= i <= r-1")
 
 
 # ---------------------------------------------------------------------------
@@ -930,10 +849,7 @@ def _lhs_lambda1(p, cutoff):
         fp.times_scalar(sign(ch[0]))
         fp.times_param_pow(a, sum(ch))
         fp_pp(fp, b1, ch[0])
-
-    def tail(fp, ch):
         s = ch[-1]
-        fp.times_poch(Q, s, den=True)
         fp.times_poch(aq_c1c2, s)
         fp.times_poch(aq_c1, s, den=True)
         fp.times_poch(aq_c2, s, den=True)
@@ -947,7 +863,7 @@ def _lhs_lambda1(p, cutoff):
                   + bressoud._poch_floor(aq_c1c2, s))
         return e
 
-    spec = _chain_spec(r - 1, 0, expo, extra=extra, tail=tail,
+    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 1), extra=extra,
                        extra_floor=extra_floor)
     return multisum_eval(spec, cutoff)
 
@@ -998,14 +914,8 @@ def _rhs_lambda1(p, cutoff):
             e += min(den_val, t_val) - den_val
         return e
 
-    v_ab, kind_ab = poch_val(a_b1, INF)
-    if kind_ab == "zero":
-        return Series.zero(cutoff)
-    body = bressoud._jsum(coeff, floor, cutoff - v_ab, "lambda1 rhs")
-    return product_at(cutoff, [
-        (lambda c: poch(a_b1, INF, c), v_ab),
-        (lambda c: body, body.val()),
-    ])
+    return FactorProduct().times_poch(a_b1, INF).series_times(
+        lambda c: bressoud._jsum(coeff, floor, c, "lambda1 rhs"), cutoff)
 
 
 _register(name="lambda1", summary="one-insertion lattice-route identity",
@@ -1052,10 +962,7 @@ def _latroute_lhs(p, cutoff, twisted):
             fp.times_poch((a / rd) / sd, ch[d - 2] - s)
             fp.times_poch(a / rd, ch[d - 2], den=True)
             fp.times_poch(a / sd, ch[d - 2], den=True)
-
-    def tail(fp, ch):
         s = ch[-1]
-        fp.times_poch(Q, s, den=True)
         fp.times_poch(aq_rs, s)
         fp.times_poch(aq_r, s, den=True)
         fp.times_poch(aq_s, s, den=True)
@@ -1079,7 +986,7 @@ def _latroute_lhs(p, cutoff, twisted):
                   + bressoud._poch_floor(aq_rs, s))
         return e
 
-    spec = _chain_spec(r - 1, 0, expo, extra=extra, tail=tail,
+    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 1), extra=extra,
                        extra_floor=extra_floor)
     return multisum_eval(spec, cutoff)
 
@@ -1154,14 +1061,8 @@ def _latroute_rhs(p, cutoff, twisted):
                 den_val += min(t.halves, a.halves + 2 * j)
         return e + min(den_val, t_val) - den_val
 
-    v_ab, kind_ab = poch_val(a_r1, INF)
-    if kind_ab == "zero":
-        return Series.zero(cutoff)
-    body = bressoud._jsum(coeff, floor, cutoff - v_ab, "lattice-route rhs")
-    return product_at(cutoff, [
-        (lambda c: poch(a_r1, INF, c), v_ab),
-        (lambda c: body, body.val()),
-    ])
+    return FactorProduct().times_poch(a_r1, INF).series_times(
+        lambda c: bressoud._jsum(coeff, floor, c, "lattice-route rhs"), cutoff)
 
 
 _register(name="newlattice3", summary="twisted lattice-route identity",
@@ -1258,11 +1159,8 @@ def specialization_table():
     return rows
 
 
-_MULTIPLIERS = {
-    None: None,
-    "neg_q_qsq": lambda cutoff: poch(_neg(2), INF, cutoff, base=4),
-    "neg_q3_qsq": lambda cutoff: poch(_neg(6), INF, cutoff, base=4),
-}
+# multiplier name -> arg of the infinite product (arg;q^2)_oo
+_MULTIPLIERS = {None: None, "neg_q_qsq": _neg(2), "neg_q3_qsq": _neg(6)}
 
 
 def check_table_row(row: dict, cutoff: int):
@@ -1280,9 +1178,8 @@ def check_table_row(row: dict, cutoff: int):
                                       (src.rhs, tgt.rhs, "rhs")):
         s = side_src.scale_exponents(scale)
         if mult is not None:
-            mseries = mult(cutoff)
-            s = product_at(cutoff, [(lambda c: s, s.val()),
-                                    (lambda c: mseries, mseries.val())])
+            fp = FactorProduct().times_poch(mult, INF, base=4)
+            s = fp.times_series(s).series(cutoff)
         _, diff = first_diff(s, side_tgt, cutoff)
         results.append((which, diff))
     ok = src.passed and tgt.passed and all(d is None for _, d in results)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import BadParam, PoleError, TruncationUnreachable
 from .qparams import Q, QParam
-from .qfunctions import FactorProduct, fp_pp, poch, poch_recip, poch_val, sign
+from .qfunctions import FactorProduct, fp_pp, poch_val, sign
 from .pairs import BaileyPair, VerifyReport
 from .series import INF, Series, first_diff, product_at, truncated_sum
 
@@ -165,6 +165,7 @@ def _corollary_lhs(pair, r, i, b, c, cutoff, bc):
 def _corollary_rhs(pair, r, i, b, c, cutoff, bc):
     a = pair.a
     aq = a.q_shift(2)
+    pre = FactorProduct().times_poch(aq, INF, den=True)
 
     if not bc:
         def coeff(j):
@@ -173,8 +174,6 @@ def _corollary_rhs(pair, r, i, b, c, cutoff, bc):
             fp.times_qpow(2 * r * j * j - 2 * i * j)
             fp.times_series(_geom(a, j, i))
             return fp
-
-        pre_parts = [(lambda cc: poch_recip(aq, INF, cc), 0)]
     else:
         a_b = (a / b) if b is not None else QParam.zero()
         aq_c = (aq / c) if c is not None else QParam.zero()
@@ -203,19 +202,10 @@ def _corollary_rhs(pair, r, i, b, c, cutoff, bc):
                 fp.times_series(_geom(a, j, i))
             return fp
 
-        v_ab, kind_ab = poch_val(a_b, INF)
-        if kind_ab == "zero":
-            return Series.zero(cutoff)
-        pre_parts = [(lambda cc: poch(a_b, INF, cc), v_ab),
-                     (lambda cc: poch_recip(aq, INF, cc), 0)]
+        pre.times_poch(a_b, INF)
 
-    body = _bilateral_alpha_sum(pair, coeff, cutoff - _parts_val(pre_parts), "corollary rhs")
-    parts = pre_parts + [(lambda cc, s=body: s, body.val())]
-    return product_at(cutoff, parts)
-
-
-def _parts_val(parts):
-    return sum(v for _, v in parts)
+    return pre.series_times(
+        lambda cc: _bilateral_alpha_sum(pair, coeff, cc, "corollary rhs"), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +234,7 @@ def finite_n_check(theorem: str, pair: BaileyPair, r: int, i: int, n: int,
     rhs = _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted)
     order, diff = first_diff(lhs, rhs, cutoff)
     if diff is None:
-        return VerifyReport(True, n, n, cutoff, order)
+        return VerifyReport(order >= cutoff, n, n, cutoff, order)
     e, cl, cr = diff
     return VerifyReport(False, n, n, cutoff, order,
                         {"n": n, "exponent_halves": e,

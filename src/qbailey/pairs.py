@@ -30,7 +30,11 @@ from .series import INF, Series, first_diff, product_at, truncated_sum
 
 @dataclass
 class VerifyReport:
-    """Outcome of an exact coefficientwise check."""
+    """Outcome of an exact coefficientwise check.
+
+    ``passed`` needs agreement on every coefficient below the requested
+    cutoff, so a side that came back exact only to a lower order fails.
+    """
 
     passed: bool
     n_min: int
@@ -144,7 +148,7 @@ def verify_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> Verify
             return VerifyReport(False, n_min, n_max, cutoff, compared,
                                 {"n": n, "exponent_halves": e,
                                  "lhs_coeff": cb, "rhs_coeff": cr})
-    return VerifyReport(True, n_min, n_max, cutoff, compared)
+    return VerifyReport(compared >= cutoff, n_min, n_max, cutoff, compared)
 
 
 def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
@@ -198,7 +202,7 @@ def invert_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> Verify
             return VerifyReport(False, n_min, n_max, cutoff, compared,
                                 {"n": n, "exponent_halves": e,
                                  "lhs_coeff": cl, "rhs_coeff": cr})
-    return VerifyReport(True, n_min, n_max, cutoff, compared)
+    return VerifyReport(compared >= cutoff, n_min, n_max, cutoff, compared)
 
 
 def pairs_agree(p1: BaileyPair, p2: BaileyPair, n_min: int, n_max: int,
@@ -221,7 +225,7 @@ def pairs_agree(p1: BaileyPair, p2: BaileyPair, n_min: int, n_max: int,
                                     {"n": n, "exponent_halves": e,
                                      "lhs_coeff": c1, "rhs_coeff": c2},
                                     note=f"{which} sequences differ")
-    return VerifyReport(True, n_min, n_max, cutoff, compared)
+    return VerifyReport(compared >= cutoff, n_min, n_max, cutoff, compared)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ that makes bilateral Bailey sums truncate).
 (1 - c x^h) with exact multiset cancellation of identical factors.  The
 paper's specializations (a = q^m, c^2 = aq, b^2 = a) produce removable 0/0
 ratios everywhere; cancelling equal factors before expanding is what makes
-them evaluable.
+them evaluable.  Infinite Pochhammers are factors like any other: their
+nonpositive-exponent factors join the multisets (so a zero (q^-t;q)_oo, or a
+(1 - q^0) it shares with the other side, is seen before expanding), and the
+rest are listed only as far as the requested cutoff needs.
 
 Every product of factors (1 - c x^h)^(+-1) -- finite, negative-index and
 infinite Pochhammers, their reciprocals, the triple product and the
@@ -313,6 +316,12 @@ def _factors_series(num_key, den_key, cutoff):
                    [m for m, k in den_key for _ in range(k)], cutoff)
 
 
+def _cancel(num: Counter, den: Counter):
+    """Remove the factors common to the two multisets."""
+    common = num & den
+    return num - common, den - common
+
+
 def fp_pp(fp, p: QParam, n: int):
     """Multiply fp by (p)_n / p^n, using the limit (-1)^n q^C(n,2) at p = oo."""
     if p.is_infinite:
@@ -330,11 +339,15 @@ class FactorProduct:
 
     Identical factors in numerator and denominator cancel as multisets before
     anything is expanded, so removable singularities at specialized
-    parameters evaluate exactly instead of raising 0/0.
+    parameters evaluate exactly instead of raising 0/0.  Infinite Pochhammers
+    (``times_poch`` with k = INF) keep their nonpositive-exponent factors in
+    the multisets and their tails, which all lead with 1, in ``infs``;
+    ``series(cutoff)`` lists each tail up to the exponent the cutoff needs,
+    cancels once more and expands everything in one ``_expand`` call.
     """
 
     __slots__ = ("coeff", "halves", "num", "den", "extras", "extra_dens",
-                 "lazies", "annihilated")
+                 "infs", "annihilated")
 
     def __init__(self):
         self.coeff = Fraction(1)
@@ -343,7 +356,7 @@ class FactorProduct:
         self.den = Counter()
         self.extras = []
         self.extra_dens = []
-        self.lazies = []
+        self.infs = []
         self.annihilated = False
 
     def copy(self):
@@ -354,7 +367,7 @@ class FactorProduct:
         fp.den = Counter(self.den)
         fp.extras = list(self.extras)
         fp.extra_dens = list(self.extra_dens)
-        fp.lazies = list(self.lazies)
+        fp.infs = list(self.infs)
         fp.annihilated = self.annihilated
         return fp
 
@@ -366,7 +379,7 @@ class FactorProduct:
         self.den.update(other.den)
         self.extras.extend(other.extras)
         self.extra_dens.extend(other.extra_dens)
-        self.lazies.extend(other.lazies)
+        self.infs.extend(other.infs)
         self.annihilated = self.annihilated or other.annihilated
         return self
 
@@ -406,9 +419,15 @@ class FactorProduct:
         (self.den if den else self.num)[mono] += 1
         return self
 
-    def times_poch(self, p: QParam, k: int, base: int = 2, den: bool = False):
-        """Multiply by (p;q^base)_k (or its reciprocal when den=True)."""
-        num, den_monos = _poch_monos(p, k, base)
+    def times_poch(self, p: QParam, k, base: int = 2, den: bool = False):
+        """Multiply by (p;q^base)_k (or its reciprocal when den=True); k may be INF."""
+        if k == INF:
+            if p.is_zero:
+                return self
+            num, den_monos = _poch_monos(p, INF, base, 1)  # the nonpositive exponents
+            self.infs.append((p.q_shift(len(num) * base), base, den))
+        else:
+            num, den_monos = _poch_monos(p, k, base)
         if den:
             num, den_monos = den_monos, num
         self.num.update(num)
@@ -426,20 +445,11 @@ class FactorProduct:
         self.extra_dens.append(s)
         return self
 
-    def times_lazy(self, build, val_bound):
-        """Multiply by build(cutoff), a factor with the given valuation bound."""
-        self.lazies.append((build, val_bound))
-        return self
-
-    def _cancelled(self):
-        common = self.num & self.den
-        return self.num - common, self.den - common
-
     def val_bound(self):
         """Exact valuation of the assembled product (INF when it is zero)."""
         if self.annihilated:
             return INF
-        num, den = self._cancelled()
+        num, den = _cancel(self.num, self.den)
         if any(m == _ONE_MONO for m in num):
             return INF
         v = self.halves
@@ -452,16 +462,30 @@ class FactorProduct:
             v += sv
         for s in self.extra_dens:
             v -= s.val()
-        for _, lv in self.lazies:
-            v += lv
         return v
+
+    def series_times(self, build, cutoff) -> Series:
+        """This product times build(c), a series exact below c = cutoff - val_bound()."""
+        v = self.val_bound()
+        if v == INF:
+            return Series.zero(cutoff)
+        return self.times_series(build(cutoff - v)).series(cutoff)
 
     def series(self, cutoff) -> Series:
         if self.annihilated:
             return Series.zero()
-        num, den = self._cancelled()
+        num, den = _cancel(self.num, self.den)
         if any(m == _ONE_MONO for m in num):
             return Series.zero()
+        if self.infs:
+            if cutoff is None or cutoff == INF:
+                raise BadParam("infinite Pochhammer product needs a finite cutoff")
+            # Every unlisted tail factor is (1 - c x^h) with h >= bound, so the
+            # omitted part is 1 + O(x^bound): the product stays exact below cutoff.
+            bound = cutoff - self.val_bound()
+            for p, base, inv in self.infs:
+                (den if inv else num).update(_poch_monos(p, INF, base, bound)[0])
+            num, den = _cancel(num, den)
         parts = []
         num_key = tuple(sorted(num.items()))
         den_key = tuple(sorted(den.items()))
@@ -472,6 +496,5 @@ class FactorProduct:
             parts.append(((lambda ss: (lambda c: ss))(s), s.val()))
         for s in self.extra_dens:
             parts.append(((lambda ss: (lambda c: ss.invert(c)))(s), -s.val()))
-        parts.extend(self.lazies)
         out = product_at(cutoff - self.halves, parts)
         return out.times_monomial(self.coeff, self.halves)

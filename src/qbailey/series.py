@@ -269,13 +269,12 @@ def product_at(cutoff, parts):
     the factor exact below c and ``val_bound`` is a certified lower bound on
     its valuation.  Each factor is built at cutoff minus the other factors'
     total valuation bound, which is the loosest request that still makes the
-    product exact below ``cutoff``.
+    product exact below ``cutoff``.  When the bounds add up to the cutoff or
+    more, the product is zero below it and nothing is built.
     """
-    total = 0
-    for _, v in parts:
-        if v == INF:
-            return Series.zero(cutoff)
-        total += v
+    total = sum(v for _, v in parts)
+    if total >= cutoff:
+        return Series.zero(cutoff)
     out = Series.one()
     for build, v in parts:
         out = out * build(cutoff - (total - v))

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+from qbailey.errors import PoleError
 from qbailey.oracle import DenseSeries, dense_invert, dense_mul
-from qbailey.qfunctions import _expand
+from qbailey.qfunctions import FactorProduct, _expand, poch, poch_recip, poch_val
+from qbailey.qparams import QParam
 from qbailey.series import INF, Series
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
@@ -67,3 +71,60 @@ def test_expand_exact_polynomial(num):
 @given(multisets, multisets, st.integers(-20, 40))
 def test_expand_with_denominators(num, den, cutoff):
     _check(_flat(num), _flat(den), cutoff)
+
+
+# infinite products (c q^(h/2); q^(base/2))_oo, in the numerator or not
+inf_products = st.lists(st.tuples(coeffs, st.integers(-8, 12), st.sampled_from([2, 4, 10]),
+                                  st.booleans()), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inf_products, st.integers(-6, 6), st.integers(1, 40))
+def test_infinite_factors_match_pochhammer_products(prods, halves, cutoff):
+    parts = []
+    for c, h, base, den in prods:
+        p = QParam.finite(c, h)
+        v, kind = poch_val(p, INF, base)
+        if den and kind == "zero":
+            continue  # a pole: see the pinned cases below
+        parts.append((p, base, den, INF if kind == "zero" else (-v if den else v)))
+    fp = FactorProduct().times_qpow(halves)
+    for p, base, den, _ in parts:
+        fp.times_poch(p, INF, base, den)
+    got = fp.series(cutoff)
+    # each part is built far enough that the Series.__mul__ product is exact
+    # below the cutoff whatever the other parts' valuations
+    at = cutoff - halves + sum(max(0, -v) for *_, v in parts if v != INF)
+    want = Series.monomial(1, halves)
+    for p, base, den, _ in parts:
+        want = want * (poch_recip(p, INF, at, base) if den else poch(p, INF, at, base))
+    want = want.truncate(cutoff)
+    assert got.terms == want.terms
+    if any(v == INF for *_, v in parts):
+        assert fp.val_bound() == INF
+    else:
+        assert got.cutoff == cutoff
+        assert fp.val_bound() == halves + sum(v for *_, v in parts)
+
+
+def test_a_zero_infinite_numerator_is_the_zero_product():
+    fp = FactorProduct().times_poch(QParam.finite(1, -4), INF)  # (q^-2;q)_oo = 0
+    assert fp.val_bound() == INF
+    assert not fp.series(20).terms
+
+
+def test_a_cancelled_infinite_denominator_zero_is_finite():
+    # (1 - q^0) / (q^-2;q)_oo = 1 / ((1 - q^-2)(1 - q^-1)(q;q)_oo)
+    q = QParam.finite(1, 2)
+    fp = FactorProduct().times_factor(QParam.finite(1, 0))
+    fp.times_poch(QParam.finite(1, -4), INF, den=True)
+    want = (poch_recip(QParam.finite(1, -4), 2, 40) * poch_recip(q, INF, 40)).truncate(30)
+    got = fp.series(30)
+    assert fp.val_bound() == 6
+    assert got.cutoff == 30 and got.terms == want.terms
+
+
+def test_an_uncancelled_infinite_denominator_zero_is_a_pole():
+    fp = FactorProduct().times_poch(QParam.finite(1, -4), INF, den=True)
+    with pytest.raises(PoleError):
+        fp.series(20)

@@ -10,9 +10,9 @@ import qbailey
 from qbailey.errors import BadParam, CertificateViolation, PoleError
 from qbailey.qparams import QParam
 from qbailey.pairs import (BaileyPair, BilateralSequence, invert_pair,
-                           make_pair, verify_pair)
+                           make_pair, pairs_agree, relation_rhs, verify_pair)
 from qbailey.series import Series
-from qbailey.transforms import bailey_lemma
+from qbailey.transforms import bailey_lemma, lovejoy_inv
 
 fin = QParam.finite
 
@@ -116,6 +116,28 @@ def test_zero_indices_do_not_hide_a_degenerate_relation():
     # (aq)_8 = 0 meets alpha_2 != 0, where the relation degenerates
     with pytest.raises(PoleError, match="degenerates"):
         verify_pair(make_pair("unit", a=fin(1, -4)), 6, 6, 20)
+
+
+def test_relation_sum_is_exact_to_its_cutoff():
+    # every term of the sum at n = 6 has a valuation bound past x^40; the
+    # sum used to come back exact only below x^6 (and verify_pair passed)
+    pair = lovejoy_inv(make_pair("unit", a=fin(1, 2)), QParam.zero())
+    assert relation_rhs(pair, 6, 40).cutoff == 40
+    report = verify_pair(pair, 0, 6, 40)
+    assert report.passed and report.compared == 40
+
+
+def test_short_compare_is_not_a_pass():
+    # a beta known only below x^10 agrees as far as it goes, but that is
+    # not a check to x^40
+    unit = make_pair("unit", a=fin(1, 4))
+    short_beta = BilateralSequence(
+        lambda n, c: Series.one().truncate(10) if n == 0 else Series.zero(10),
+        lambda n: 0, support=(0, 0), name="short.beta")
+    short = BaileyPair(unit.a, unit.alpha, short_beta)
+    for report in (verify_pair(short, 0, 3, 40), pairs_agree(short, unit, 0, 3, 40)):
+        assert report.first_divergence is None
+        assert report.compared == 10 and not report.passed
 
 
 def test_round_trip_on_unilateral_pairs():
