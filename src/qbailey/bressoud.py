@@ -55,18 +55,28 @@ def _poch_floor(p: QParam, s: int):
     return v
 
 
-def _jsum(coeff_fp_fn, floor_fn, cutoff, label):
-    """sum_{j >= 0} coeff(j), cut off by ``series.truncated_sum``'s stop rule.
+def _jsum(a: QParam, b: QParam, coeff_fp_fn, floor_fn, cutoff, label):
+    """(a/b)_oo sum_{j >= 0} coeff(j), cut off by ``series.truncated_sum``'s stop rule.
 
     floor_fn(j) bounds the valuation of coeff(j); coeff_fp_fn(j) returns a
-    FactorProduct, or None for a zero term.
+    FactorProduct, or None for a zero term.  Every caller's term j divides by
+    (b - a q^j), so b = a q^j0 with j0 >= 0 makes (a/b)_oo vanish exactly
+    where term j0 has a pole; that 0 * oo raises ``PoleError`` rather than
+    evaluating to the zero series.
     """
-    def build(j):
-        fp = coeff_fp_fn(j)
-        return Series.zero() if fp is None else fp.series(cutoff)
+    pre = FactorProduct().times_poch(a / b, INF)
+    if b.is_finite and pre.val_bound() == INF:
+        raise PoleError(f"{label}: {b} collides with a q^j")
 
-    return truncated_sum(0, 1, INF, lambda j: (floor_fn(j), lambda: build(j)), cutoff,
-                         f"{label}: j-sum did not truncate").truncate(cutoff)
+    def build(j, c):
+        fp = coeff_fp_fn(j)
+        return Series.zero() if fp is None else fp.series(c)
+
+    def jsum(c):
+        return truncated_sum(0, 1, INF, lambda j: (floor_fn(j), lambda: build(j, c)), c,
+                             f"{label}: j-sum did not truncate").truncate(c)
+
+    return pre.series_times(jsum, cutoff)
 
 
 def _times_a_quotient(fp, a: QParam, j: int):
@@ -245,8 +255,6 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
         a^{kj} q^{(k-r)j^2+j} / ((a/b...)_j (aq/c1, aq/c2, q)_j) * bracket(j)
     """
     _master_validate(k, r, a, c1, c2, bs)
-    a_b1 = a / bs[0]
-
     all_inf = all(b.is_infinite for b in bs)
 
     def coeff(j):
@@ -268,8 +276,9 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             if num.is_zero_below_cutoff():
                 return None
             fp.times_series(num)
-            if not (len(den.terms) == 1 and den.val() == 0 and den.coeff(0) == 1):
-                fp.times_series_den(den)
+            for b in bs:
+                if b.is_finite:  # 1/(b - a q^j)
+                    fp.times_param_pow(b, -1).times_factor(a / b, 2 * j, den=True)
         return fp
 
     def floor(j):
@@ -288,8 +297,7 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             e += num.val() - den.val()
         return e
 
-    return FactorProduct().times_poch(a_b1, INF).series_times(
-        lambda c: _jsum(coeff, floor, c, "master rhs"), cutoff)
+    return _jsum(a, bs[0], coeff, floor, cutoff, "master rhs")
 
 
 # ---------------------------------------------------------------------------

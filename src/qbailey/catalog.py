@@ -895,7 +895,7 @@ def _rhs_lambda1(p, cutoff):
             if num.is_zero_below_cutoff():
                 return None
             fp.times_series(num)
-            fp.times_series_den(den)
+            fp.times_param_pow(b1, -1).times_factor(a_b1, 2 * j, den=True)
         return fp
 
     def floor(j):
@@ -914,8 +914,7 @@ def _rhs_lambda1(p, cutoff):
             e += min(den_val, t_val) - den_val
         return e
 
-    return FactorProduct().times_poch(a_b1, INF).series_times(
-        lambda c: bressoud._jsum(coeff, floor, c, "lambda1 rhs"), cutoff)
+    return bressoud._jsum(a, b1, coeff, floor, cutoff, "lambda1 rhs")
 
 
 _register(name="lambda1", summary="one-insertion lattice-route identity",
@@ -995,8 +994,6 @@ def _latroute_rhs(p, cutoff, twisted):
     r, i = p["r"], p["i"]
     a, rho1, rho, sigma = p["a"], p["rho1"], p["rho"], p["sigma"]
     block = [rho1] + [x for pair in zip(p["rhos"], p["sigmas"]) for x in pair]
-    a_r1 = a / rho1
-
     all_inf = all(t.is_infinite for t in block)
 
     def coeff(j):
@@ -1029,13 +1026,11 @@ def _latroute_rhs(p, cutoff, twisted):
             else:
                 num_t = num_t * (Series.one() - t.monomial().times_monomial(1, 2 * j))
                 den = den * (t.monomial() - a.monomial().times_monomial(1, 2 * j))
+                fp.times_param_pow(t, -1).times_factor(a / t, 2 * j, den=True)
         num = den + num_t
         if num.is_zero_below_cutoff():
             return None
-        fp.times_series(num)
-        if not (len(den.terms) == 1 and den.val() == 0 and den.coeff(0) == 1):
-            fp.times_series_den(den)
-        return fp
+        return fp.times_series(num)
 
     def floor(j):
         e = a.halves * r * j + 2 * (r - i) * j * j + (2 * j if twisted else 0)
@@ -1061,8 +1056,7 @@ def _latroute_rhs(p, cutoff, twisted):
                 den_val += min(t.halves, a.halves + 2 * j)
         return e + min(den_val, t_val) - den_val
 
-    return FactorProduct().times_poch(a_r1, INF).series_times(
-        lambda c: bressoud._jsum(coeff, floor, c, "lattice-route rhs"), cutoff)
+    return bressoud._jsum(a, rho1, coeff, floor, cutoff, "lattice-route rhs")
 
 
 _register(name="newlattice3", summary="twisted lattice-route identity",
@@ -1178,8 +1172,7 @@ def check_table_row(row: dict, cutoff: int):
                                       (src.rhs, tgt.rhs, "rhs")):
         s = side_src.scale_exponents(scale)
         if mult is not None:
-            fp = FactorProduct().times_poch(mult, INF, base=4)
-            s = fp.times_series(s).series(cutoff)
+            s = FactorProduct().times_poch(mult, INF, base=4).series(cutoff, s)
         _, diff = first_diff(s, side_tgt, cutoff)
         results.append((which, diff))
     ok = src.passed and tgt.passed and all(d is None for _, d in results)

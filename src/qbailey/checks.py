@@ -21,8 +21,7 @@ from fractions import Fraction
 from .errors import QBaileyError
 from .qparams import QParam
 from .pairs import make_pair, pairs_agree, verify_pair
-from .qfunctions import poch_recip
-from .series import product_at
+from .qfunctions import FactorProduct
 from . import transforms as T
 
 _COEFF_POOL = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2),
@@ -137,22 +136,21 @@ def transform_soundness(name, trials=5, seed=0, cutoff=60, n_min=-6, n_max=6):
     return results
 
 
-def _scaled_pair_combo(p1, c1_series, p2, c2_series, cutoff):
-    """Componentwise c1*pair1 + c2*pair2 as evaluated sequences."""
+def _scaled_pair_combo(p1, c1, p2, c2):
+    """Componentwise c1*pair1 + c2*pair2 as evaluated sequences; c1 and c2
+    are FactorProducts."""
     from .pairs import BaileyPair, BilateralSequence
 
     def combine(s1, s2, which):
         def ev(n, c):
-            out = product_at(c, [(lambda cc: c1_series, c1_series.val()),
-                                 (lambda cc: s1(n, cc), s1.val_bound(n))])
-            out = out + product_at(c, [(lambda cc: c2_series, c2_series.val()),
-                                       (lambda cc: s2(n, cc), s2.val_bound(n))])
+            out = c1.series_times(lambda cc: s1(n, cc), c, s1.val_bound(n))
+            out = out + c2.series_times(lambda cc: s2(n, cc), c, s2.val_bound(n))
             return out.truncate(c)
 
         lo = min(s1.support_lo, s2.support_lo)
         hi = max(s1.support_hi, s2.support_hi)
-        vb = lambda n: min(s1.val_bound(n) + c1_series.val(),
-                           s2.val_bound(n) + c2_series.val())
+        vb = lambda n: min(s1.val_bound(n) + c1.val_bound(),
+                           s2.val_bound(n) + c2.val_bound())
         return BilateralSequence(ev, vb, (lo, hi), name=f"combo.{which}")
 
     return BaileyPair(p1.a, combine(p1.alpha, p2.alpha, "alpha"),
@@ -193,10 +191,9 @@ def composition_checks(name=None, seed=0, cutoff=36):
                             -4, 4, cutoff))
 
     def general_combo():
-        c1 = poch_recip(b, 1, cutoff + 8)  # 1/(1 - b)
-        c2 = c1.times_monomial(-b.coeff, b.halves)
-        combo = _scaled_pair_combo(T.key1(shifted1), c1, T.key2(shifted1), c2,
-                                   cutoff)
+        c1 = FactorProduct().times_factor(b, den=True)  # 1/(1 - b)
+        c2 = FactorProduct().times_factor(b, den=True).times_scalar(-1).times_param_pow(b, 1)
+        combo = _scaled_pair_combo(T.key1(shifted1), c1, T.key2(shifted1), c2)
         return pairs_agree(T.general(shifted1, b), combo, -4, 4, cutoff)
 
     add("general(b) = key1/(1-b) - b*key2/(1-b)", ("general", "key1", "key2"),

@@ -27,7 +27,7 @@ from .errors import BadParam, PoleError, TruncationUnreachable
 from .qparams import Q, QParam
 from .qfunctions import FactorProduct, fp_pp, poch_val, sign
 from .pairs import BaileyPair, VerifyReport
-from .series import INF, Series, first_diff, product_at, truncated_sum
+from .series import INF, Series, first_diff, truncated_sum
 
 
 def _geom(a: QParam, j: int, top: int) -> Series:
@@ -48,10 +48,8 @@ def _bilateral_alpha_sum(pair, coeff_fp_fn, cutoff, label):
 
     def at(j):
         fp = coeff_fp_fn(j)
-        return fp.val_bound() + alpha.val_bound(j), lambda: product_at(cutoff, [
-            (lambda c: fp.series(c), fp.val_bound()),
-            (lambda c: pair.alpha(j, c), alpha.val_bound(j)),
-        ])
+        return fp.val_bound() + alpha.val_bound(j), lambda: fp.series_times(
+            lambda c: pair.alpha(j, c), cutoff, alpha.val_bound(j))
 
     label = f"{label}: bilateral sum did not truncate"
     up = truncated_sum(0, 1, alpha.support_hi, at, cutoff, label)
@@ -147,13 +145,7 @@ def _corollary_lhs(pair, r, i, b, c, cutoff, bc):
         if aq_c is not None:
             fp.times_poch(aq_c, chain[r - 2], den=True)
         s_r = chain[r - 1]
-        v_fp = fp.val_bound()
-        if v_fp == INF:
-            return Series.zero()
-        return product_at(cut, [
-            (lambda cc, f=fp: f.series(cc), v_fp),
-            (lambda cc: pair.beta(s_r, cc), beta.val_bound(s_r)),
-        ])
+        return fp.series_times(lambda cc: pair.beta(s_r, cc), cut, beta.val_bound(s_r))
 
     from .multisum import MultisumSpec, multisum_eval
     spec = MultisumSpec(depth=r, lower_bound=lb, term=term,
@@ -197,7 +189,7 @@ def _corollary_rhs(pair, r, i, b, c, cutoff, bc):
                     fp.times_scalar(0)
                 else:
                     fp.times_series(num)
-                    fp.times_series_den(den)
+                    fp.times_param_pow(b, -1).times_factor(a / b, 2 * j, den=True)
             else:
                 fp.times_series(_geom(a, j, i))
             return fp
@@ -285,14 +277,9 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
                 expo = sum(chain[dd - 1] for dd in range(i + 1, r + 1))
             fp.times_qpow(2 * expo)
             blocks(fp, chain)
-            v_fp = fp.val_bound()
-            if v_fp == INF:
-                return
             s_r = chain[-1]
-            out = out + product_at(cutoff, [
-                (lambda c, f=fp: f.series(c), v_fp),
-                (lambda c, ss=s_r: pair.beta(ss, c), beta.val_bound(s_r)),
-            ])
+            out = out + fp.series_times(lambda c: pair.beta(s_r, c), cutoff,
+                                        beta.val_bound(s_r))
             return
         hi = prev
         if d == r:
@@ -350,13 +337,8 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
     def plans_sum(plans):
         total = Series.zero()
         for fp, jj in plans:
-            v_fp = fp.val_bound()
-            if v_fp == INF:
-                continue
-            total = total + product_at(cutoff, [
-                (lambda c, f=fp: f.series(c), v_fp),
-                (lambda c, k=jj: pair.alpha(k, c), alpha.val_bound(jj)),
-            ])
+            total = total + fp.series_times(lambda c: pair.alpha(jj, c), cutoff,
+                                            alpha.val_bound(jj))
         return total
 
     if twisted:
@@ -364,10 +346,7 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
         fp0 = FactorProduct()
         fp0.times_poch(Q, n, den=True)
         fp0.times_poch(a, n, den=True)
-        out = product_at(cutoff, [
-            (lambda c: fp0.series(c), fp0.val_bound()),
-            (lambda c: pair.alpha(0, c), alpha.val_bound(0)),
-        ])
+        out = fp0.series_times(lambda c: pair.alpha(0, c), cutoff, alpha.val_bound(0))
         for j in range(1, n + 1):
             out = out + plans_sum(make_terms(j))
         return out.truncate(cutoff)

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .errors import BadParam, CertificateViolation, PoleError
 from .qparams import Q, QParam
-from .qfunctions import FactorProduct, poch, poch_recip, poch_val, qbinom, sign
-from .series import INF, Series, first_diff, product_at, truncated_sum
+from .qfunctions import FactorProduct, poch, poch_val, qbinom, sign
+from .series import INF, Series, first_diff, truncated_sum
 
 
 @dataclass
@@ -116,6 +116,10 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
     aq = pair.a.q_shift(2)
     alpha = pair.alpha
 
+    def term(j):
+        fp = FactorProduct().times_poch(Q, n - j, den=True).times_poch(aq, n + j, den=True)
+        return fp.series_times(lambda c: pair.alpha(j, c), cutoff, alpha.val_bound(j))
+
     def at(j):
         v_aq, kind = poch_val(aq, n + j)
         if kind == "pole":
@@ -125,11 +129,7 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
                 return None, None
             raise PoleError(
                 f"defining relation degenerates: (aq)_{n + j} = 0 with aq = {aq}")
-        return alpha.val_bound(j) - v_aq, lambda: product_at(cutoff, [
-            (lambda c: pair.alpha(j, c), alpha.val_bound(j)),
-            (lambda c: poch_recip(Q, n - j, c), 0),
-            (lambda c: poch_recip(aq, n + j, c), -v_aq),
-        ])
+        return alpha.val_bound(j) - v_aq, lambda: term(j)
 
     return truncated_sum(min(n, alpha.support_hi), -1, alpha.support_lo, at, cutoff,
                          f"relation sum at n={n} did not truncate").truncate(cutoff)
@@ -168,10 +168,7 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
         fp.times_qpow(d * (d - 1))
         fp.times_poch(a, n + j)
         fp.times_poch(Q, d, den=True)
-        return product_at(inner_cut, [
-            (lambda c: fp.series(c), fp.val_bound()),
-            (lambda c: beta(j, c), beta.val_bound(j)),
-        ])
+        return fp.series_times(lambda c: beta(j, c), inner_cut, beta.val_bound(j))
 
     def at(j):
         v_a, kind = poch_val(a, n + j)
@@ -185,8 +182,7 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
 
     out = truncated_sum(min(n, beta.support_hi), -1, beta.support_lo, at, cutoff,
                         f"inversion sum at n={n} did not truncate")
-    pref.times_series(out.truncate(inner_cut))
-    return pref.series(cutoff)
+    return pref.series(cutoff, out.truncate(inner_cut))
 
 
 def invert_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> VerifyReport:

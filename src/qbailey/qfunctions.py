@@ -24,8 +24,11 @@ rest are listed only as far as the requested cutoff needs.
 Every product of factors (1 - c x^h)^(+-1) -- finite, negative-index and
 infinite Pochhammers, their reciprocals, the triple product and the
 assembled ``FactorProduct`` ratio -- is multiplied out by one dense kernel,
-``_expand``.  Sparse ``Series`` multiplication and inversion stay for general
-series; the kernel is checked against them and against ``oracle.py``.
+``_expand``, which applies the factors in place to a seed series: 1, or the
+series a ``FactorProduct`` multiplies (a sequence value, a bracket
+polynomial).  Sparse ``Series`` multiplication stays for products of general
+series; the kernel is checked against it, ``Series.invert`` and
+``oracle.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache
 
 from .errors import BadParam, InvertZero, NegativeN, PoleError, TruncationUnreachable
 from .qparams import QParam
-from .series import INF, Series, _norm, product_at
+from .series import INF, Series, _norm
 
 _ONE_MONO = (Fraction(1), 0)
 
@@ -55,22 +58,27 @@ def _factor_val(mono):
     return min(0, mono[1])
 
 
-def _expand(num, den, cutoff):
-    """prod(1 - c x^h) over ``num`` / prod(1 - c x^h) over ``den``.
+def _expand(num, den, cutoff, seed=Series.one()):
+    """``seed`` * prod(1 - c x^h) over ``num`` / prod(1 - c x^h) over ``den``.
 
     ``num`` and ``den`` are iterables of monomials (c, h), repeated for
-    multiplicity.  The result is exact below ``cutoff``; ``cutoff=None`` (or
-    INF) asks for the exact polynomial and admits no denominator.
+    multiplicity.  The factors multiply out to scalar * x^shift * (a power
+    series leading with 1), so the result is exact below
+    min(cutoff, seed.cutoff + shift).  ``cutoff=None`` (or INF) asks for
+    everything the seed determines; with an exact seed that is the exact
+    polynomial, which admits no denominator.
 
-    This is the one place where factors (1 - c x^h)^(+-1) are multiplied out.
+    This is the one place where factors (1 - c x^h)^(+-1) meet a series.
     Each factor is written as scalar * x^shift * (1 - c' x^h') with h' > 0
     (h = 0 is a pure scalar, h < 0 gives -c x^h (1 - x^(-h)/c)); the scalars
     and shifts are pulled out, and the (1 - c' x^h') parts act in place on
-    one dense list a[0..n): a[e] -= c' a[e-h'] for descending e in a
-    numerator, a[e] += c' a[e-h'] for ascending e in a denominator.
-    Coefficients stay ints while every c' is an integer.
+    one dense list a[0..n) that starts as the seed's coefficients:
+    a[e] -= c' a[e-h'] for descending e in a numerator, a[e] += c' a[e-h']
+    for ascending e in a denominator.  Coefficients stay ints while the
+    seed's and every c' are integers.
     """
-    exact = cutoff is None or cutoff == INF
+    cutoff = INF if cutoff is None else cutoff
+    exact = cutoff == INF and seed.cutoff == INF
     scalar = Fraction(1)
     shift = 0
     steps = []
@@ -90,14 +98,19 @@ def _expand(num, den, cutoff):
                     c, h = 1 / c, -h
                 steps.append((_norm(c), h, inv))
             scalar = scalar / f if inv else scalar * f
-    cutoff = INF if exact else cutoff
-    if scalar == 0:
+    cutoff = min(cutoff, seed.cutoff + shift)
+    if scalar == 0 or not seed.terms:
         return Series.zero(cutoff)
-    n = sum(h for _, h, _ in steps) + 1 if exact else cutoff - shift
+    v = min(seed.terms)
+    top = max(seed.terms) - v  # a[e] == 0 for every e > top
+    n = top + sum(h for _, h, _ in steps) + 1 if exact else cutoff - shift - v
     if n <= 0:
         return Series.zero(cutoff)
-    a = [1] + [0] * (n - 1)
-    top = 0  # a[e] == 0 for every e > top
+    top = min(top, n - 1)
+    a = [0] * n
+    for e, x in seed.terms.items():
+        if e - v < n:
+            a[e - v] = x
     for c, h, inv in steps:
         if h >= n:
             continue
@@ -114,7 +127,8 @@ def _expand(num, den, cutoff):
                 if x:
                     a[e] -= c * x
     scalar = _norm(scalar)
-    return Series({e + shift: x * scalar for e, x in enumerate(a) if x}, cutoff)
+    v += shift
+    return Series({e + v: x * scalar for e, x in enumerate(a) if x}, cutoff)
 
 
 def _poch_monos(a: QParam, k, base: int, bound=None):
@@ -335,19 +349,22 @@ def fp_pp(fp, p: QParam, n: int):
 
 
 class FactorProduct:
-    """monomial * prod(1 - m) / prod(1 - m') * extra series, evaluated exactly.
+    """monomial * prod(1 - m) / prod(1 - m') * the ``extras`` series, evaluated
+    exactly, alone or applied to one more series.
 
     Identical factors in numerator and denominator cancel as multisets before
     anything is expanded, so removable singularities at specialized
     parameters evaluate exactly instead of raising 0/0.  Infinite Pochhammers
     (``times_poch`` with k = INF) keep their nonpositive-exponent factors in
-    the multisets and their tails, which all lead with 1, in ``infs``;
-    ``series(cutoff)`` lists each tail up to the exponent the cutoff needs,
-    cancels once more and expands everything in one ``_expand`` call.
+    the multisets and their tails, which all lead with 1, in ``infs``.
+    ``series(cutoff, seed)`` multiplies the ``extras`` (bracket polynomials,
+    at most one of them a truncated series) and the optional ``seed`` (such
+    as a sequence value) into one seed series with ``Series.__mul__``, lists
+    each tail up to the exponent the cutoff needs, and applies every factor
+    to that seed in one ``_expand`` call.
     """
 
-    __slots__ = ("coeff", "halves", "num", "den", "extras", "extra_dens",
-                 "infs", "annihilated")
+    __slots__ = ("coeff", "halves", "num", "den", "extras", "infs", "annihilated")
 
     def __init__(self):
         self.coeff = Fraction(1)
@@ -355,7 +372,6 @@ class FactorProduct:
         self.num = Counter()
         self.den = Counter()
         self.extras = []
-        self.extra_dens = []
         self.infs = []
         self.annihilated = False
 
@@ -366,7 +382,6 @@ class FactorProduct:
         fp.num = Counter(self.num)
         fp.den = Counter(self.den)
         fp.extras = list(self.extras)
-        fp.extra_dens = list(self.extra_dens)
         fp.infs = list(self.infs)
         fp.annihilated = self.annihilated
         return fp
@@ -378,7 +393,6 @@ class FactorProduct:
         self.num.update(other.num)
         self.den.update(other.den)
         self.extras.extend(other.extras)
-        self.extra_dens.extend(other.extra_dens)
         self.infs.extend(other.infs)
         self.annihilated = self.annihilated or other.annihilated
         return self
@@ -438,63 +452,54 @@ class FactorProduct:
         self.extras.append(s)
         return self
 
-    def times_series_den(self, s: Series):
-        """Divide by an explicitly built series (inverted at evaluation time)."""
-        if s.is_zero_below_cutoff():
-            raise PoleError("division by a series with no visible terms")
-        self.extra_dens.append(s)
-        return self
-
-    def val_bound(self):
-        """Exact valuation of the assembled product (INF when it is zero)."""
+    def _ratio(self):
+        """The cancelled (num, den) multisets and the valuation of the
+        monomial times their ratio (INF when the product is zero)."""
         if self.annihilated:
-            return INF
+            return None, None, INF
         num, den = _cancel(self.num, self.den)
-        if any(m == _ONE_MONO for m in num):
-            return INF
+        if _ONE_MONO in num:
+            return num, den, INF
         v = self.halves
         v += sum(_factor_val(m) * k for m, k in num.items())
         v -= sum(_factor_val(m) * k for m, k in den.items())
-        for s in self.extras:
-            sv = s.val()
-            if sv == INF:
-                return INF
-            v += sv
-        for s in self.extra_dens:
-            v -= s.val()
-        return v
+        return num, den, v
 
-    def series_times(self, build, cutoff) -> Series:
-        """This product times build(c), a series exact below c = cutoff - val_bound()."""
+    def val_bound(self):
+        """Exact valuation of the assembled product (INF when it is zero)."""
+        return self._ratio()[2] + sum(s.val() for s in self.extras)
+
+    def series_times(self, build, cutoff, floor=0) -> Series:
+        """This product times build(c), a series exact below c = cutoff - val_bound()
+        whose valuation is at least ``floor``.
+
+        When the two valuations reach the cutoff, nothing is built and the
+        zero series is returned.  ``self`` is left unchanged.
+        """
         v = self.val_bound()
-        if v == INF:
+        if v + floor >= cutoff:
             return Series.zero(cutoff)
-        return self.times_series(build(cutoff - v)).series(cutoff)
+        return self.series(cutoff, build(cutoff - v))
 
-    def series(self, cutoff) -> Series:
-        if self.annihilated:
+    def series(self, cutoff, seed=None) -> Series:
+        """This product times ``seed`` (default 1), exact below the cutoff
+        wherever the seed is exact below cutoff - val_bound()."""
+        num, den, v = self._ratio()
+        if v == INF:
             return Series.zero()
-        num, den = _cancel(self.num, self.den)
-        if any(m == _ONE_MONO for m in num):
-            return Series.zero()
+        for s in self.extras:
+            seed = s if seed is None else seed * s
         if self.infs:
             if cutoff is None or cutoff == INF:
                 raise BadParam("infinite Pochhammer product needs a finite cutoff")
             # Every unlisted tail factor is (1 - c x^h) with h >= bound, so the
             # omitted part is 1 + O(x^bound): the product stays exact below cutoff.
-            bound = cutoff - self.val_bound()
+            bound = cutoff - v - (0 if seed is None else seed.val())
             for p, base, inv in self.infs:
                 (den if inv else num).update(_poch_monos(p, INF, base, bound)[0])
-            num, den = _cancel(num, den)
-        parts = []
-        num_key = tuple(sorted(num.items()))
-        den_key = tuple(sorted(den.items()))
-        v_ratio = (sum(_factor_val(m) * k for m, k in num_key)
-                   - sum(_factor_val(m) * k for m, k in den_key))
-        parts.append((lambda c: _factors_series(num_key, den_key, c), v_ratio))
-        for s in self.extras:
-            parts.append(((lambda ss: (lambda c: ss))(s), s.val()))
-        for s in self.extra_dens:
-            parts.append(((lambda ss: (lambda c: ss.invert(c)))(s), -s.val()))
-        out = product_at(cutoff - self.halves, parts)
+        cut = cutoff - self.halves
+        if seed is None:
+            out = _factors_series(tuple(sorted(num.items())), tuple(sorted(den.items())), cut)
+        else:
+            out = _expand(num.elements(), den.elements(), cut, seed)
         return out.times_monomial(self.coeff, self.halves)

@@ -263,14 +263,17 @@ def series_equal(a: Series, b: Series, upto=None) -> bool:
 
 
 def product_at(cutoff, parts):
-    """Product of factors, exact below ``cutoff``.
+    """Product of general series, exact below ``cutoff``.
 
     ``parts`` is a list of (build, val_bound) pairs where ``build(c)`` returns
-    the factor exact below c and ``val_bound`` is a certified lower bound on
-    its valuation.  Each factor is built at cutoff minus the other factors'
+    the series exact below c and ``val_bound`` is a certified lower bound on
+    its valuation.  Each part is built at cutoff minus the other parts'
     total valuation bound, which is the loosest request that still makes the
     product exact below ``cutoff``.  When the bounds add up to the cutoff or
-    more, the product is zero below it and nothing is built.
+    more, the product is zero below it and nothing is built.  The engine
+    multiplies a factor product into a series with
+    ``FactorProduct.series_times``; this helper multiplies arbitrary series
+    with ``Series.__mul__`` and serves as a reference for it.
     """
     total = sum(v for _, v in parts)
     if total >= cutoff:

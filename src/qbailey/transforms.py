@@ -27,20 +27,14 @@ from .errors import BadParam, TruncationUnreachable, UnsupportedLimit
 from .qparams import Q, QParam
 from .qfunctions import FactorProduct, esym, fp_pp, qbinom, sign
 from .pairs import BaileyPair, BilateralSequence
-from .series import INF, Series, product_at
+from .series import INF, Series
 
 
 def _combine(plans, cutoff) -> Series:
     """Sum of fp * seq(k) over (fp, seq, k) plans, exact below cutoff."""
     out = Series.zero()
     for fp, seq, k in plans:
-        v_fp = fp.val_bound()
-        if v_fp == INF:
-            continue
-        out = out + product_at(cutoff, [
-            (lambda c, f=fp: f.series(c), v_fp),
-            (lambda c, s=seq, kk=k: s(kk, c), seq.val_bound(k)),
-        ])
+        out = out + fp.series_times(lambda c: seq(k, c), cutoff, seq.val_bound(k))
     return out.truncate(cutoff)
 
 

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from qbailey.errors import PoleError
+from qbailey import cli
+from qbailey.errors import InvertZero, PoleError
 from qbailey.oracle import DenseSeries, dense_invert, dense_mul
 from qbailey.qfunctions import FactorProduct, _expand, poch, poch_recip, poch_val
 from qbailey.qparams import QParam
-from qbailey.series import INF, Series
+from qbailey.series import INF, Series, product_at
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 monos = st.tuples(coeffs, st.integers(-8, 12)).filter(lambda m: m != (1, 0))
@@ -128,3 +129,89 @@ def test_an_uncancelled_infinite_denominator_zero_is_a_pole():
     fp = FactorProduct().times_poch(QParam.finite(1, -4), INF, den=True)
     with pytest.raises(PoleError):
         fp.series(20)
+
+
+# seeds: Laurent series of either sign of valuation, int or Fraction
+# coefficients, exact or known only below a finite cutoff
+seed_coeffs = st.one_of(st.integers(-5, 5), coeffs).filter(bool)
+
+
+@st.composite
+def seeds(draw):
+    terms = draw(st.dictionaries(st.integers(-10, 10), seed_coeffs, min_size=1, max_size=6))
+    cutoff = draw(st.one_of(st.just(INF), st.integers(min(terms) + 1, 25)))
+    return Series(terms, cutoff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets, multisets, st.one_of(st.none(), st.integers(-20, 40)), seeds())
+def test_seeded_expand_is_the_product_with_its_seed(num, den, cutoff, seed):
+    num, den = _flat(num), _flat(den)
+    if cutoff is None and any(h for _, h in den) and seed.cutoff == INF:
+        with pytest.raises(InvertZero):
+            _expand(num, den, cutoff, seed)
+        return
+    got = _expand(num, den, cutoff, seed)
+    # the unseeded product, exact below the target cutoff less the seed's valuation
+    shift = sum(min(0, h) for _, h in num) - sum(min(0, h) for _, h in den)
+    target = min(INF if cutoff is None else cutoff, seed.cutoff + shift)
+    plain = _expand(num, den, None if target == INF else target - seed.val())
+    want = plain * seed
+    assert got.cutoff == want.cutoff == target
+    assert got.terms == want.terms
+    if plain.terms:
+        dense = dense_mul(DenseSeries.from_terms(plain.terms, plain.cutoff),
+                          DenseSeries.from_terms(seed.terms, seed.cutoff))
+        assert got.terms == {e: c for e, c in dense.to_terms().items() if e < target}
+    else:
+        assert not got.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(multisets, multisets, inf_products, st.integers(-6, 6), seeds(),
+       st.integers(0, 4), st.integers(-10, 40))
+def test_series_times_matches_a_product_at_reference(num, den, prods, halves, s, slack,
+                                                     cutoff):
+    fp = FactorProduct().times_qpow(halves)
+    for m in _flat(num):
+        fp.times_factor(QParam.finite(*m))
+    for m in _flat(den):
+        fp.times_factor(QParam.finite(*m), den=True)
+    for c, h, base, inv in prods:
+        if not (inv and poch_val(QParam.finite(c, h), INF, base)[1] == "zero"):
+            fp.times_poch(QParam.finite(c, h), INF, base, inv)
+    exact = Series(s.terms)  # the built series: exact, of either sign of valuation
+    floor = exact.val() - slack
+    built = []
+
+    def build(c):
+        built.append(c)
+        return exact.truncate(c)
+
+    v = fp.val_bound()
+    got = fp.series_times(build, cutoff, floor)
+    want = product_at(cutoff, [(fp.series, v), (exact.truncate, floor)])
+    assert got.terms == want.terms
+    assert got.cutoff == cutoff
+    assert built == ([] if v + floor >= cutoff else [cutoff - v])
+    assert fp.val_bound() == v
+
+
+def test_series_times_leaves_the_product_unchanged():
+    fp = FactorProduct().times_factor(QParam.finite(2, 2))
+    fp.times_poch(QParam.finite(1, 2), INF, den=True)
+    fp.times_series(Series({0: 1, 2: 3}))
+    seq = Series({-4: 1, 0: -2}, 30)
+    first = fp.series_times(lambda c: seq.truncate(c), 20, -4)
+    second = fp.series_times(lambda c: seq.truncate(c), 20, -4)
+    assert first.cutoff == second.cutoff == 20
+    assert first.terms == second.terms
+    assert len(fp.extras) == 1
+
+
+def test_a_lambda1_collision_is_a_pole():
+    # b1 = a q^2: (a/b1)_oo vanishes where the j = 2 term has a 1/(b1 - a q^2) pole
+    argv = ["verify", "--identity", "lambda1", "--r", "2", "--i", "1", "--cutoff", "20",
+            "--param", "a=2*q^(2/2)", "--param", "b1=2*q^(6/2)",
+            "--param", "c1=inf", "--param", "c2=inf"]
+    assert cli.main(argv) == 3
