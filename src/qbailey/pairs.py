@@ -65,8 +65,9 @@ class BilateralSequence:
     """Map n -> series with a certified valuation lower bound and support window.
 
     ``val_bound(n)`` must never exceed the true valuation of ``eval(n)``;
-    it is spot-checked on every evaluation.  Outside the support window the
-    sequence is exactly zero.
+    it is spot-checked on every evaluation.  It is a function of n alone, so
+    it is computed once per n.  Outside the support window the sequence is
+    exactly zero.
     """
 
     def __init__(self, eval_fn, val_bound_fn=None, support=(-INF, INF), name=""):
@@ -75,6 +76,7 @@ class BilateralSequence:
         self.support_lo, self.support_hi = support
         self.name = name
         self._cache = {}
+        self._vb_memo = {}
 
     def __call__(self, n, cutoff) -> Series:
         if not (self.support_lo <= n <= self.support_hi):
@@ -96,7 +98,10 @@ class BilateralSequence:
             return INF
         if self._vb is None:
             return 0
-        return self._vb(n)
+        got = self._vb_memo.get(n)
+        if got is None:
+            got = self._vb_memo[n] = self._vb(n)
+        return got
 
 
 @dataclass

@@ -26,9 +26,12 @@ infinite Pochhammers, their reciprocals, the triple product and the
 assembled ``FactorProduct`` ratio -- is multiplied out by one dense kernel,
 ``_expand``, which applies the factors in place to a seed series: 1, or the
 series a ``FactorProduct`` multiplies (a sequence value, a bracket
-polynomial).  Sparse ``Series`` multiplication stays for products of general
-series; the kernel is checked against it, ``Series.invert`` and
-``oracle.py``.
+polynomial).  Its inner loops run on Python ints over one common
+denominator, whatever the factors' rational coefficients; the
+``FactorProduct``'s monomial joins the kernel's scalar and shift, and each
+coefficient is reduced to lowest terms once, when the result is built.
+Sparse ``Series`` multiplication stays for products of general series; the
+kernel is checked against it, ``Series.invert`` and ``oracle.py``.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import BadParam, InvertZero, NegativeN, PoleError, TruncationUnreachable
 from .qparams import QParam
-from .series import INF, Series, _norm
+from .series import INF, Series
 
 _ONE_MONO = (Fraction(1), 0)
 
@@ -58,29 +62,37 @@ def _factor_val(mono):
     return min(0, mono[1])
 
 
-def _expand(num, den, cutoff, seed=Series.one()):
-    """``seed`` * prod(1 - c x^h) over ``num`` / prod(1 - c x^h) over ``den``.
+def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
+    """coeff * x^halves * ``seed`` * prod(1 - c x^h) over ``num`` / prod(1 - c x^h)
+    over ``den``.
 
     ``num`` and ``den`` are iterables of monomials (c, h), repeated for
     multiplicity.  The factors multiply out to scalar * x^shift * (a power
-    series leading with 1), so the result is exact below
+    series leading with 1), and the monomial coeff * x^halves joins that
+    scalar and shift, so the result is exact below
     min(cutoff, seed.cutoff + shift).  ``cutoff=None`` (or INF) asks for
     everything the seed determines; with an exact seed that is the exact
     polynomial, which admits no denominator.
 
     This is the one place where factors (1 - c x^h)^(+-1) meet a series.
-    Each factor is written as scalar * x^shift * (1 - c' x^h') with h' > 0
-    (h = 0 is a pure scalar, h < 0 gives -c x^h (1 - x^(-h)/c)); the scalars
-    and shifts are pulled out, and the (1 - c' x^h') parts act in place on
-    one dense list a[0..n) that starts as the seed's coefficients:
-    a[e] -= c' a[e-h'] for descending e in a numerator, a[e] += c' a[e-h']
-    for ascending e in a denominator.  Coefficients stay ints while the
-    seed's and every c' are integers.
+    Each factor is written as scalar * x^shift * (1 - (p/d) x^h') with h' > 0
+    and p/d in lowest terms (h = 0 is a pure scalar, h < 0 gives
+    -c x^h (1 - x^(-h)/c)); the scalars and shifts are pulled out, and the
+    (1 - (p/d) x^h') parts act in place on one dense list of ints a[0..n)
+    over one common denominator D.  The list starts as the seed's
+    coefficients over the lcm of their denominators.  A numerator factor
+    sets a[e] = d a[e] - p a[e-h'] for descending e and D *= d.  A
+    denominator factor sets b[e] = d^floor(e/h') a[e] + p b[e-h'] for
+    ascending e, so that b[e] / d^floor(e/h') is the quotient's
+    coefficient, then rescales every b[e] to d^floor((n-1)/h') and sets
+    D *= d^floor((n-1)/h').  With d = 1 both are the plain a[e] -= p a[e-h']
+    and a[e] += p a[e-h'].  Each coefficient a[e] * scalar / D is reduced
+    once, when the result is built.
     """
     cutoff = INF if cutoff is None else cutoff
     exact = cutoff == INF and seed.cutoff == INF
-    scalar = Fraction(1)
-    shift = 0
+    scalar = Fraction(coeff)
+    shift = halves
     steps = []
     for monos, inv in ((num, False), (den, True)):
         for c, h in monos:
@@ -92,43 +104,74 @@ def _expand(num, den, cutoff, seed=Series.one()):
                 if inv and exact:
                     raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
                 f = 1
+                p, d = c.numerator, c.denominator
                 if h < 0:
                     f = -c
                     shift += -h if inv else h
-                    c, h = 1 / c, -h
-                steps.append((_norm(c), h, inv))
+                    p, d, h = (d, p, -h) if p > 0 else (-d, -p, -h)
+                steps.append((p, d, h, inv))
             scalar = scalar / f if inv else scalar * f
     cutoff = min(cutoff, seed.cutoff + shift)
     if scalar == 0 or not seed.terms:
         return Series.zero(cutoff)
     v = min(seed.terms)
     top = max(seed.terms) - v  # a[e] == 0 for every e > top
-    n = top + sum(h for _, h, _ in steps) + 1 if exact else cutoff - shift - v
+    n = top + sum(h for _, _, h, _ in steps) + 1 if exact else cutoff - shift - v
     if n <= 0:
         return Series.zero(cutoff)
     top = min(top, n - 1)
+    start = [(e - v, x) for e, x in seed.terms.items() if e - v < n]
+    D = lcm(*(x.denominator for _, x in start))
     a = [0] * n
-    for e, x in seed.terms.items():
-        if e - v < n:
-            a[e - v] = x
-    for c, h, inv in steps:
+    for e, x in start:
+        a[e] = x.numerator * (D // x.denominator)
+    for p, d, h, inv in steps:
         if h >= n:
             continue
-        if inv:
-            top = n - 1
+        if not inv:
+            top = min(top + h, n - 1)
+            if d == 1:
+                for e in range(top, h - 1, -1):
+                    x = a[e - h]
+                    if x:
+                        a[e] -= p * x
+                continue
+            for e in range(top, h - 1, -1):
+                a[e] = d * a[e] - p * a[e - h]
+            for e in range(min(h, top + 1)):
+                a[e] *= d
+            D *= d
+            continue
+        top = n - 1
+        if d == 1:
             for e in range(h, n):
                 x = a[e - h]
                 if x:
-                    a[e] += c * x
-        else:
-            top = min(top + h, n - 1)
-            for e in range(top, h - 1, -1):
-                x = a[e - h]
-                if x:
-                    a[e] -= c * x
-    scalar = _norm(scalar)
+                    a[e] += p * x
+            continue
+        w = 1  # d^floor(e/h) over the block [lo, lo + h)
+        for lo in range(h, n, h):
+            w *= d
+            for e in range(lo, min(lo + h, n)):
+                a[e] = w * a[e] + p * a[e - h]
+        w = 1  # d^(floor((n-1)/h) - floor(e/h)), from the last block down
+        for lo in range((n - 1) // h * h - h, -1, -h):
+            w *= d
+            for e in range(lo, lo + h):
+                a[e] *= w
+        D *= w
+    scalar /= D
+    p, d = scalar.numerator, scalar.denominator
     v += shift
-    return Series({e + v: x * scalar for e, x in enumerate(a) if x}, cutoff)
+    terms = {e + v: x * p for e, x in enumerate(a) if x}
+    if d != 1:
+        for e, x in terms.items():
+            x = Fraction(x, d)
+            terms[e] = x.numerator if x.denominator == 1 else x
+    out = Series.__new__(Series)  # the terms are already reduced
+    out.terms = terms
+    out.cutoff = cutoff
+    return out
 
 
 def _poch_monos(a: QParam, k, base: int, bound=None):
@@ -325,9 +368,10 @@ def jacobi_triple(z: QParam, cutoff, base: int = 2):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100000)
-def _factors_series(num_key, den_key, cutoff):
+def _factors_series(num_key, den_key, cutoff, coeff, halves):
     return _expand([m for m, k in num_key for _ in range(k)],
-                   [m for m, k in den_key for _ in range(k)], cutoff)
+                   [m for m, k in den_key for _ in range(k)], cutoff,
+                   coeff=coeff, halves=halves)
 
 
 def _cancel(num: Counter, den: Counter):
@@ -361,7 +405,7 @@ class FactorProduct:
     at most one of them a truncated series) and the optional ``seed`` (such
     as a sequence value) into one seed series with ``Series.__mul__``, lists
     each tail up to the exponent the cutoff needs, and applies every factor
-    to that seed in one ``_expand`` call.
+    and the monomial to that seed in one ``_expand`` call.
     """
 
     __slots__ = ("coeff", "halves", "num", "den", "extras", "infs", "annihilated")
@@ -497,9 +541,7 @@ class FactorProduct:
             bound = cutoff - v - (0 if seed is None else seed.val())
             for p, base, inv in self.infs:
                 (den if inv else num).update(_poch_monos(p, INF, base, bound)[0])
-        cut = cutoff - self.halves
         if seed is None:
-            out = _factors_series(tuple(sorted(num.items())), tuple(sorted(den.items())), cut)
-        else:
-            out = _expand(num.elements(), den.elements(), cut, seed)
-        return out.times_monomial(self.coeff, self.halves)
+            return _factors_series(tuple(sorted(num.items())), tuple(sorted(den.items())),
+                                   cutoff, self.coeff, self.halves)
+        return _expand(num.elements(), den.elements(), cutoff, seed, self.coeff, self.halves)

@@ -48,9 +48,18 @@ def _plans_vb(plans):
 
 
 def _seq_from_plans(plan_fn, support, name) -> BilateralSequence:
+    built = {}
+
+    def plans(n):
+        # one plan list per n serves the valuation bound and every cutoff
+        got = built.get(n)
+        if got is None:
+            got = built[n] = plan_fn(n)
+        return got
+
     return BilateralSequence(
-        lambda n, c: _combine(plan_fn(n), c),
-        lambda n: _plans_vb(plan_fn(n)),
+        lambda n, c: _combine(plans(n), c),
+        lambda n: _plans_vb(plans(n)),
         support=support,
         name=name,
     )

@@ -215,3 +215,81 @@ def test_a_lambda1_collision_is_a_pole():
             "--param", "a=2*q^(2/2)", "--param", "b1=2*q^(6/2)",
             "--param", "c1=inf", "--param", "c2=inf"]
     assert cli.main(argv) == 3
+
+
+# rational factors: the kernel runs on ints over one common denominator
+
+def _seeded_reference(num, den, cutoff, seed):
+    """seed * prod num / prod den by Series.__mul__/invert and by the oracle."""
+    shift = sum(min(0, h) for _, h in num) - sum(min(0, h) for _, h in den)
+    target = min(cutoff, seed.cutoff + shift)
+    plain = _sparse(num, den, target - seed.val())
+    want = plain * seed
+    assert want.cutoff == target
+    dense = dense_mul(DenseSeries.from_terms(plain.terms, plain.cutoff),
+                      DenseSeries.from_terms(seed.terms, seed.cutoff))
+    assert want.terms == {e: c for e, c in dense.to_terms().items() if e < target}
+    return want
+
+
+@pytest.mark.parametrize("den", [[(Fraction(2, 3), 1)] * 3, [(Fraction(3, 4), 3)] * 2])
+def test_rational_denominator_factors_to_a_high_order(den):
+    # 401 halves: 1/(1 - (3/4)x^3) runs over 133 whole blocks of 3 and a partial one
+    _check([], den, 401)
+
+
+def test_factors_with_their_own_denominators_on_both_sides_of_a_rational_seed():
+    num = [(Fraction(2, 3), 1), (Fraction(-5, 4), 2), (Fraction(1, 5), -3)]
+    den = [(Fraction(3, 4), 1), (Fraction(-2, 5), 2), (Fraction(4, 3), 3), (Fraction(5, 3), -2)]
+    for cutoff in (INF, 47):
+        seed = Series({-3: Fraction(1, 6), 0: Fraction(-5, 7), 4: 2, 9: Fraction(3, 10)},
+                      cutoff)
+        got = _expand(num, den, 120, seed)
+        want = _seeded_reference(num, den, 120, seed)
+        assert got.cutoff == want.cutoff
+        assert got.terms == want.terms
+        for c in got.terms.values():
+            assert Fraction(c).denominator != 1 or type(c) is int
+
+
+def _inf_part(c, h, base, inv):
+    """(c q^(h/2); q^(base/2))_oo or its reciprocal, listed and multiplied out
+    with Series arithmetic; a (build, valuation) part for ``product_at``."""
+    v, _ = poch_val(QParam.finite(c, h), INF, base)
+    w = -v if inv else v
+
+    def build(at):
+        # an omitted factor (1 - c x^e) changes the part by O(x^(w + e))
+        prod = Series.one()
+        j = 0
+        while h + j * base < max(at - w, 1):
+            prod = prod * Series(_terms(c, h + j * base))
+            j += 1
+        return prod.invert(at) if inv else prod.truncate(at)
+
+    return build, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs, st.integers(-6, 6), multisets, multisets, inf_products, seeds(),
+       st.integers(-10, 40))
+def test_a_scaled_factor_product_matches_a_product_at_reference(scalar, halves, num, den,
+                                                                prods, seed, cutoff):
+    fp = FactorProduct().times_scalar(scalar).times_qpow(halves)
+    parts = [(lambda at: Series.monomial(scalar, halves), halves), (seed.truncate, seed.val())]
+    for m in _flat(num):
+        fp.times_factor(QParam.finite(*m))
+        parts.append((lambda at, m=m: Series(_terms(*m)), min(0, m[1])))
+    for m in _flat(den):
+        fp.times_factor(QParam.finite(*m), den=True)
+        parts.append((lambda at, m=m: Series(_terms(*m)).invert(at), -min(0, m[1])))
+    for c, h, base, inv in prods:
+        v, kind = poch_val(QParam.finite(c, h), INF, base)
+        if inv and kind == "zero":
+            continue  # a pole
+        fp.times_poch(QParam.finite(c, h), INF, base, inv)
+        parts.append((None, INF) if kind == "zero" else _inf_part(c, h, base, inv))
+    got = fp.series_times(seed.truncate, cutoff, seed.val())
+    want = product_at(cutoff, parts)
+    assert got.cutoff == want.cutoff
+    assert got.terms == want.terms

@@ -177,3 +177,25 @@ def test_change_base_requires_square_coefficient():
     ok = make_pair("general_m", a=fin(4, 4), m=1)
     out = apply_transform("change_base_d4", ok)
     assert out.a == fin(2, 4)
+
+
+def test_a_transformed_sequence_builds_each_plan_list_once():
+    from qbailey.pairs import BilateralSequence
+    from qbailey.qfunctions import FactorProduct
+    from qbailey.series import INF
+    from qbailey.transforms import _seq_from_plans
+
+    source = BilateralSequence(lambda n, c: Series.monomial(n + 1).truncate(c),
+                               support=(0, INF))
+    built = []
+
+    def plans(n):
+        built.append(n)
+        return [(FactorProduct().times_qpow(2 * n), source, n)]
+
+    seq = _seq_from_plans(plans, (0, INF), "counted")
+    for cutoff in (10, 20, 10):
+        assert seq(3, cutoff).terms == {6: 4}
+    assert seq.val_bound(3) == seq.val_bound(3) == 6
+    assert seq.val_bound(4) == 8
+    assert built == [3, 4]
