@@ -1,10 +1,27 @@
-"""The multi-parameter Bressoud identity and its lattice-route relatives.
+"""The multi-parameter Bressoud master identity (Agarwal-Andrews-Bressoud).
 
 The master identity equates a (k-1)-fold multisum with paired parameter
 insertions (b_d, b_{2r+1-d}) at levels d = 2..r against a single j-sum with
 a (2r-1)-parameter correction bracket.  Trailing b parameters may be
-infinite, which lowers the effective number of insertions; the r = k
-boundary case is admitted only with both c parameters infinite.
+infinite, which lowers the effective number of insertions.  The r = k
+boundary case is admitted with both c parameters infinite, or with the
+level-k pair (b_k, b_{k+1}) infinite.
+
+The catalog's lattice-route identities are parameter maps onto it, and
+evaluate through ``bressoud_lhs``/``bressoud_rhs``:
+
+    lambda1(r, i; a, b1, c1, c2)   = master(k=r, r=i; a, c1, c2;
+                                            bs=[b1] + [oo]*(2i-2))
+    newlattice3(r, i; a, rho1, rho, sigma, rhos, sigmas)
+                                   = master(k=r, r=i; a, rho, sigma;
+                                            bs=[rho1] + rhos + reversed(sigmas))
+    lattice3(same parameters)      = master(k=r, r=i+1; a, rho, sigma;
+                                            bs=[rho1] + rhos + [oo, oo]
+                                               + reversed(sigmas))
+
+so the pair at level d is (rho_d, sigma_d), and lattice3's extra level
+carries an infinite pair.  lambda1 at i = r and lattice3 at i = r-1 are
+r = k cases with an infinite level-k pair.
 
 ``bressoud_F``/``bressoud_G`` are the raw function forms (the j-sum dressed
 with its (a/b_t)_oo normalization, and the multisum written with
@@ -55,18 +72,18 @@ def _poch_floor(p: QParam, s: int):
     return v
 
 
-def _jsum(a: QParam, b: QParam, coeff_fp_fn, floor_fn, cutoff, label):
+def _jsum(a: QParam, b: QParam, coeff_fp_fn, floor_fn, cutoff):
     """(a/b)_oo sum_{j >= 0} coeff(j), cut off by ``series.truncated_sum``'s stop rule.
 
     floor_fn(j) bounds the valuation of coeff(j); coeff_fp_fn(j) returns a
-    FactorProduct, or None for a zero term.  Every caller's term j divides by
-    (b - a q^j), so b = a q^j0 with j0 >= 0 makes (a/b)_oo vanish exactly
-    where term j0 has a pole; that 0 * oo raises ``PoleError`` rather than
-    evaluating to the zero series.
+    FactorProduct, or None for a zero term.  Term j divides by (b - a q^j),
+    so b = a q^j0 with j0 >= 0 makes (a/b)_oo vanish exactly where term j0
+    has a pole; that 0 * oo raises ``PoleError`` rather than evaluating to
+    the zero series.
     """
     pre = FactorProduct().times_poch(a / b, INF)
     if b.is_finite and pre.val_bound() == INF:
-        raise PoleError(f"{label}: {b} collides with a q^j")
+        raise PoleError(f"master rhs: {b} collides with a q^j")
 
     def build(j, c):
         fp = coeff_fp_fn(j)
@@ -74,7 +91,7 @@ def _jsum(a: QParam, b: QParam, coeff_fp_fn, floor_fn, cutoff, label):
 
     def jsum(c):
         return truncated_sum(0, 1, INF, lambda j: (floor_fn(j), lambda: build(j, c)), c,
-                             f"{label}: j-sum did not truncate").truncate(c)
+                             "master rhs: j-sum did not truncate").truncate(c)
 
     return pre.series_times(jsum, cutoff)
 
@@ -128,10 +145,12 @@ def _master_validate(k, r, a, c1, c2, bs):
         raise BadParam("k and r must be integers")
     if k < 2 or not (0 < r <= k):
         raise BadParam("master identity needs integers 0 < r < k")
-    if r == k and not (c1.is_infinite and c2.is_infinite):
-        raise BadParam("r = k is admitted only in the c1,c2 -> oo limit")
     if len(bs) != 2 * r - 1:
         raise BadParam(f"master identity needs 2r-1 = {2 * r - 1} b-parameters")
+    if r == k and not (c1.is_infinite and c2.is_infinite
+                       or bs[k - 1].is_infinite and bs[k].is_infinite):
+        raise BadParam("r = k is admitted only with c1, c2 infinite or with "
+                       "the level-k pair b_k, b_{k+1} infinite")
     if not a.is_finite:
         raise BadParam("master identity needs finite a")
     for p in list(bs) + [c1, c2]:
@@ -297,7 +316,7 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             e += num.val() - den.val()
         return e
 
-    return _jsum(a, bs[0], coeff, floor, cutoff, "master rhs")
+    return _jsum(a, bs[0], coeff, floor, cutoff)
 
 
 # ---------------------------------------------------------------------------

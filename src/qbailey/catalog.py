@@ -4,9 +4,11 @@ Each entry builds its left side as a nested multisum (via ``multisum``),
 described by ``_chain_spec`` data, and its right side from data read off the
 statement being verified: a prefactor ``FactorProduct`` of infinite products
 times a finite sum of triple products (``_product_side``).  The two sides
-share no formula.  Half-integer exponents are evaluated natively on the
-q^(1/2) lattice; the base-doubling reductions are separate cross-checks, not
-the implementation.
+share no formula.  ``bressoud_master`` and the lattice-route rows
+(``lambda1``, ``lattice3``, ``newlattice3``) are instead parameter maps onto
+the master identity's multisum and j-sum in ``bressoud``.  Half-integer
+exponents are evaluated natively on the q^(1/2) lattice; the base-doubling
+reductions are separate cross-checks, not the implementation.
 
 All (q)_m-style normalizations live inside the builders, so the series a
 caller sees are the stated forms of the identities.
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .errors import BadParam, UnknownIdentity
 from .qparams import ONE, Q, QParam
-from .qfunctions import FactorProduct, fp_pp, poch_val, qbinom, sign, triple_product
+from .qfunctions import FactorProduct, poch_val, qbinom, sign, triple_product
 from .multisum import MultisumSpec, multisum_eval
 from .series import INF, Series, first_diff
 from . import bressoud
@@ -797,28 +799,32 @@ _register(name="new2", summary="half-lattice companion with (-1)_{s_1} insertion
 
 
 # ---------------------------------------------------------------------------
-# master identity and the lattice-route identities
+# the master identity and the rows that are parameter maps onto it
 # ---------------------------------------------------------------------------
 
+def _via_master(to_master):
+    """lhs/rhs of a row whose parameters map onto the master identity.
+
+    to_master(p) returns the master's (k, r, a, c1, c2, bs); both sides are
+    then ``bressoud_lhs``/``bressoud_rhs`` at those arguments.
+    """
+    return {"lhs": lambda p, cutoff: bressoud.bressoud_lhs(*to_master(p), cutoff),
+            "rhs": lambda p, cutoff: bressoud.bressoud_rhs(*to_master(p), cutoff)}
+
+
+def _master_args(p):
+    return p["k"], p["r"], p["a"], p["c1"], p["c2"], p["bs"]
+
+
 def _v_master(p):
-    bressoud._master_validate(p["k"], p["r"], p["a"], p["c1"], p["c2"], p["bs"])
-
-
-def _lhs_master(p, cutoff):
-    return bressoud.bressoud_lhs(p["k"], p["r"], p["a"], p["c1"], p["c2"],
-                                 p["bs"], cutoff)
-
-
-def _rhs_master(p, cutoff):
-    return bressoud.bressoud_rhs(p["k"], p["r"], p["a"], p["c1"], p["c2"],
-                                 p["bs"], cutoff)
+    bressoud._master_validate(*_master_args(p))
 
 
 _register(name="bressoud_master", summary="multi-parameter master identity",
           int_params=("k", "r"), qparam_params=("a", "c1", "c2"),
-          list_params=("bs",), validate=_v_master, lhs=_lhs_master,
-          rhs=_rhs_master,
-          domain_doc="0 < r < k (r = k with infinite c1, c2); len(bs) = 2r-1")
+          list_params=("bs",), validate=_v_master, **_via_master(_master_args),
+          domain_doc="0 < r < k (r = k with infinite c1, c2 or infinite b_k, "
+                     "b_{k+1}); len(bs) = 2r-1")
 
 
 def _v_lambda1(p):
@@ -829,97 +835,15 @@ def _v_lambda1(p):
     _need(p["a"].is_finite, "a must be finite")
 
 
-def _lhs_lambda1(p, cutoff):
-    r, i = p["r"], p["i"]
-    a, b1, c1, c2 = p["a"], p["b1"], p["c1"], p["c2"]
-    aq_c1 = a.q_shift(2) / c1
-    aq_c2 = a.q_shift(2) / c2
-    aq_c1c2 = aq_c1 / c2
-
-    def expo(d, s):
-        if d == 1:
-            e = s * s - s
-            if i == 1:
-                e += 2 * s  # collapsed +s_i weight when the insertion level is first
-            return e
-        e = 2 * s * s - (2 * s if d <= i - 1 else 0)
-        return e
-
-    def extra(fp, ch):
-        fp.times_scalar(sign(ch[0]))
-        fp.times_param_pow(a, sum(ch))
-        fp_pp(fp, b1, ch[0])
-        s = ch[-1]
-        fp.times_poch(aq_c1c2, s)
-        fp.times_poch(aq_c1, s, den=True)
-        fp.times_poch(aq_c2, s, den=True)
-
-    def extra_floor(d, s):
-        e = a.halves * s
-        if d == 1:
-            e += bressoud._pp_floor(b1, s)
-        if d == r - 1:
-            e += (bressoud._recip_floor(aq_c1, s) + bressoud._recip_floor(aq_c2, s)
-                  + bressoud._poch_floor(aq_c1c2, s))
-        return e
-
-    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 1), extra=extra,
-                       extra_floor=extra_floor)
-    return multisum_eval(spec, cutoff)
-
-
-def _rhs_lambda1(p, cutoff):
-    r, i = p["r"], p["i"]
-    a, b1, c1, c2 = p["a"], p["b1"], p["c1"], p["c2"]
-    a_b1 = a / b1
-
-    def coeff(j):
-        fp = FactorProduct()
-        fp.times_param_pow(a, r * j)
-        fp.times_qpow(2 * (r - 1) * j * j + 2 * (2 - i) * j)
-        fp_pp(fp, b1, j)
-        fp.times_poch(a_b1, j, den=True)
-        for c in (c1, c2):
-            fp_pp(fp, c, j)
-            fp.times_poch(a.q_shift(2) / c, j, den=True)
-        bressoud._times_a_quotient(fp, a, j)
-        fp.times_poch(Q, j, den=True)
-        # the bracket is 1 + a^i q^{(2i-1)j} (1-b1 q^j)/(b1 (1-a q^j/b1));
-        # at b1 = oo it collapses to 1 - X^i with X = a q^{2j}
-        if b1.is_infinite:
-            bressoud._bracket_all_inf(fp, a, j, i - 1)
-        else:
-            t = a.monomial(i).times_monomial(1, 2 * (2 * i - 1) * j)
-            den = b1.monomial() - a.monomial().times_monomial(1, 2 * j)
-            num = den + t * (Series.one() - b1.monomial().times_monomial(1, 2 * j))
-            if num.is_zero_below_cutoff():
-                return None
-            fp.times_series(num)
-            fp.times_param_pow(b1, -1).times_factor(a_b1, 2 * j, den=True)
-        return fp
-
-    def floor(j):
-        e = a.halves * r * j + 2 * (r - 1) * j * j + 2 * (2 - i) * j
-        e += bressoud._pp_floor(b1, j) + bressoud._recip_floor(a_b1, j)
-        for c in (c1, c2):
-            e += bressoud._pp_floor(c, j)
-            e += bressoud._recip_floor(a.q_shift(2) / c, j)
-        e += bressoud._a_quotient_floor(a, j)
-        if b1.is_infinite:
-            e += bressoud._bracket_all_inf_floor(a, j, i - 1)
-        else:
-            t_val = (a.halves * i + 2 * (2 * i - 1) * j
-                     + min(0, b1.halves + 2 * j))
-            den_val = min(b1.halves, a.halves + 2 * j)
-            e += min(den_val, t_val) - den_val
-        return e
-
-    return bressoud._jsum(a, b1, coeff, floor, cutoff, "lambda1 rhs")
+def _lambda1_args(p):
+    """master(k=r, r=i, bs=[b1] + [oo]*(2i-2)): one insertion, i-1 infinite pairs."""
+    return (p["r"], p["i"], p["a"], p["c1"], p["c2"],
+            [p["b1"]] + [QParam.infinity()] * (2 * p["i"] - 2))
 
 
 _register(name="lambda1", summary="one-insertion lattice-route identity",
           int_params=("r", "i"), qparam_params=("a", "b1", "c1", "c2"),
-          validate=_v_lambda1, lhs=_lhs_lambda1, rhs=_rhs_lambda1,
+          validate=_v_lambda1, **_via_master(_lambda1_args),
           domain_doc="r >= 2, 1 <= i <= r; b1, c1, c2 nonzero (infinite allowed)")
 
 
@@ -931,148 +855,31 @@ def _v_latroute(p):
           "needs i-1 inner rho/sigma parameters")
 
 
-def _latroute_lhs(p, cutoff, twisted):
-    r, i = p["r"], p["i"]
-    a, rho1, rho, sigma = p["a"], p["rho1"], p["rho"], p["sigma"]
-    rhos, sigmas = p["rhos"], p["sigmas"]
-    aq_r = a.q_shift(2) / rho
-    aq_s = a.q_shift(2) / sigma
-    aq_rs = aq_r / sigma
-
-    def expo(d, s):
-        e = 0
-        if d == 1:
-            e += s * s - s
-        elif d > i:
-            e += 2 * s * s
-        if twisted and d == i:
-            e += 2 * s
-        return e
-
-    def extra(fp, ch):
-        fp.times_scalar(sign(ch[0]))
-        fp.times_param_pow(a, sum(ch))
-        fp_pp(fp, rho1, ch[0])
-        for d in range(2, i + 1):
-            rd, sd = rhos[d - 2], sigmas[d - 2]
-            s = ch[d - 1]
-            fp_pp(fp, rd, s)
-            fp_pp(fp, sd, s)
-            fp.times_poch((a / rd) / sd, ch[d - 2] - s)
-            fp.times_poch(a / rd, ch[d - 2], den=True)
-            fp.times_poch(a / sd, ch[d - 2], den=True)
-        s = ch[-1]
-        fp.times_poch(aq_rs, s)
-        fp.times_poch(aq_r, s, den=True)
-        fp.times_poch(aq_s, s, den=True)
-
-    def extra_floor(d, s):
-        e = a.halves * s
-        if d == 1:
-            e += bressoud._pp_floor(rho1, s)
-        elif d <= i:
-            rd, sd = rhos[d - 2], sigmas[d - 2]
-            e += bressoud._pp_floor(rd, s) + bressoud._pp_floor(sd, s)
-        if d + 1 <= i:
-            rd, sd = rhos[d - 1], sigmas[d - 1]
-            e += (bressoud._recip_floor(a / rd, s)
-                  + bressoud._recip_floor(a / sd, s))
-            ab = (a / rd) / sd
-            if ab.is_finite and ab.halves < 0:
-                e += ab.halves * max(s, 0)
-        if d == r - 1:
-            e += (bressoud._recip_floor(aq_r, s) + bressoud._recip_floor(aq_s, s)
-                  + bressoud._poch_floor(aq_rs, s))
-        return e
-
-    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 1), extra=extra,
-                       extra_floor=extra_floor)
-    return multisum_eval(spec, cutoff)
+def _newlattice3_args(p):
+    """master(k=r, r=i, c=(rho, sigma)); the pair at level d is (rho_d, sigma_d)."""
+    return (p["r"], p["i"], p["a"], p["rho"], p["sigma"],
+            [p["rho1"], *p["rhos"], *reversed(p["sigmas"])])
 
 
-def _latroute_rhs(p, cutoff, twisted):
-    r, i = p["r"], p["i"]
-    a, rho1, rho, sigma = p["a"], p["rho1"], p["rho"], p["sigma"]
-    block = [rho1] + [x for pair in zip(p["rhos"], p["sigmas"]) for x in pair]
-    all_inf = all(t.is_infinite for t in block)
-
-    def coeff(j):
-        fp = FactorProduct()
-        fp.times_param_pow(a, r * j)
-        if twisted:
-            fp.times_qpow(2 * (r - i) * j * j + 2 * j)
-        else:
-            fp.times_qpow(2 * (r - i) * j * j)
-        for t in block:
-            fp_pp(fp, t, j)
-            fp.times_poch(a / t, j, den=True)
-        for c in (rho, sigma):
-            fp_pp(fp, c, j)
-            fp.times_poch(a.q_shift(2) / c, j, den=True)
-        bressoud._times_a_quotient(fp, a, j)
-        fp.times_poch(Q, j, den=True)
-        if all_inf:
-            bressoud._bracket_all_inf(fp, a, j, i - 1 if twisted else i)
-            return fp
-        if twisted:
-            power = a.monomial(i).times_monomial(1, 2 * j)
-        else:
-            power = a.monomial(i + 1).times_monomial(1, 6 * j)
-        num_t = power
-        den = Series.one()
-        for t in block:
-            if t.is_infinite:
-                num_t = num_t.times_monomial(-1, 2 * j)
-            else:
-                num_t = num_t * (Series.one() - t.monomial().times_monomial(1, 2 * j))
-                den = den * (t.monomial() - a.monomial().times_monomial(1, 2 * j))
-                fp.times_param_pow(t, -1).times_factor(a / t, 2 * j, den=True)
-        num = den + num_t
-        if num.is_zero_below_cutoff():
-            return None
-        return fp.times_series(num)
-
-    def floor(j):
-        e = a.halves * r * j + 2 * (r - i) * j * j + (2 * j if twisted else 0)
-        for t in block:
-            e += bressoud._pp_floor(t, j) + bressoud._recip_floor(a / t, j)
-        for c in (rho, sigma):
-            e += bressoud._pp_floor(c, j)
-            e += bressoud._recip_floor(a.q_shift(2) / c, j)
-        e += bressoud._a_quotient_floor(a, j)
-        if all_inf:
-            return e + bressoud._bracket_all_inf_floor(a, j, i - 1 if twisted else i)
-        # bracket numerator valuation >= min(val(den), val(a-power part))
-        if twisted:
-            t_val = a.halves * i + 2 * j
-        else:
-            t_val = a.halves * (i + 1) + 6 * j
-        den_val = 0
-        for t in block:
-            if t.is_infinite:
-                t_val += 2 * j
-            else:
-                t_val += min(0, t.halves + 2 * j)
-                den_val += min(t.halves, a.halves + 2 * j)
-        return e + min(den_val, t_val) - den_val
-
-    return bressoud._jsum(a, rho1, coeff, floor, cutoff, "lattice-route rhs")
+def _lattice3_args(p):
+    """newlattice3's map with one more level, whose pair is infinite."""
+    inf = QParam.infinity()
+    return (p["r"], p["i"] + 1, p["a"], p["rho"], p["sigma"],
+            [p["rho1"], *p["rhos"], inf, inf, *reversed(p["sigmas"])])
 
 
 _register(name="newlattice3", summary="twisted lattice-route identity",
           int_params=("r", "i"),
           qparam_params=("a", "rho1", "rho", "sigma"),
           list_params=("rhos", "sigmas"), validate=_v_latroute,
-          lhs=lambda p, c: _latroute_lhs(p, c, twisted=True),
-          rhs=lambda p, c: _latroute_rhs(p, c, twisted=True),
+          **_via_master(_newlattice3_args),
           domain_doc="r >= 2, 1 <= i <= r-1; i-1 inner parameter pairs")
 
 _register(name="lattice3", summary="classical lattice-route identity",
           int_params=("r", "i"),
           qparam_params=("a", "rho1", "rho", "sigma"),
           list_params=("rhos", "sigmas"), validate=_v_latroute,
-          lhs=lambda p, c: _latroute_lhs(p, c, twisted=False),
-          rhs=lambda p, c: _latroute_rhs(p, c, twisted=False),
+          **_via_master(_lattice3_args),
           domain_doc="r >= 2, 1 <= i <= r-1; i-1 inner parameter pairs")
 
 

@@ -136,6 +136,27 @@ def transform_soundness(name, trials=5, seed=0, cutoff=60, n_min=-6, n_max=6):
     return results
 
 
+def transform_check(name, trials=5, seed=0, cutoff=60, n_min=-6, n_max=6):
+    """The transform-check report: seeded soundness trials and the composition
+    checks that involve ``name``.
+
+    The soundness trials compare below ``cutoff``; the composition checks
+    compare below min(cutoff, 40).  ``passed`` needs every trial and every
+    composition check to pass.
+    """
+    results = transform_soundness(name, trials=trials, seed=seed, cutoff=cutoff,
+                                  n_min=n_min, n_max=n_max)
+    comp = composition_checks(name, seed=seed, cutoff=min(cutoff, 40))
+    return {
+        "transform": name,
+        "seed": seed,
+        "cutoff_halves": cutoff,
+        "soundness": results,
+        "compositions": comp,
+        "passed": all(r["passed"] for r in results) and all(c["passed"] for c in comp),
+    }
+
+
 def _scaled_pair_combo(p1, c1, p2, c2):
     """Componentwise c1*pair1 + c2*pair2 as evaluated sequences; c1 and c2
     are FactorProducts."""

@@ -22,7 +22,7 @@ from .qparams import parse_qparam
 from .catalog import CATALOG, evaluate_identity, identity_names
 from .series import Series
 from .transforms import REGISTRY
-from .checks import transform_soundness, composition_checks
+from .checks import transform_check
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -124,29 +124,18 @@ def cmd_transform_check(args) -> int:
         print(f"unknown transform {name!r}; try: {', '.join(sorted(REGISTRY))}",
               file=sys.stderr)
         return EXIT_USAGE
-    results = transform_soundness(name, trials=args.trials, seed=args.seed,
-                                  cutoff=args.cutoff,
-                                  n_min=args.n_min, n_max=args.n_max)
-    comp = composition_checks(name, seed=args.seed, cutoff=min(args.cutoff, 40))
-    ok = all(r["passed"] for r in results) and all(c["passed"] for c in comp)
-    payload = {
-        "transform": name,
-        "seed": args.seed,
-        "cutoff_halves": args.cutoff,
-        "soundness": results,
-        "compositions": comp,
-        "passed": ok,
-    }
+    payload = transform_check(name, trials=args.trials, seed=args.seed,
+                              cutoff=args.cutoff, n_min=args.n_min, n_max=args.n_max)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for r in results:
+        for r in payload["soundness"]:
             print(f"{'PASS' if r['passed'] else 'FAIL'} soundness {name} "
                   f"pair={r['pair']} params={r['params']}")
-        for c in comp:
+        for c in payload["compositions"]:
             print(f"{'PASS' if c['passed'] else 'FAIL'} composition {c['label']}")
     _write_report(args.report_dir, f"transform_{name}_{args.seed}", payload)
-    return EXIT_PASS if ok else EXIT_MISMATCH
+    return EXIT_PASS if payload["passed"] else EXIT_MISMATCH
 
 
 def run_entry(entry: dict) -> dict:
@@ -162,13 +151,9 @@ def run_entry(entry: dict) -> dict:
                 _inject_fault(rep, int(entry["inject_fault"]))
             out = rep.to_json()
         elif cmd == "transform-check":
-            results = transform_soundness(entry["transform"],
-                                          trials=int(entry.get("trials", 3)),
-                                          seed=int(entry.get("seed", 0)),
-                                          cutoff=int(entry.get("cutoff", 40)))
-            out = {"transform": entry["transform"],
-                   "passed": all(r["passed"] for r in results),
-                   "soundness": results}
+            out = transform_check(entry["transform"], trials=int(entry.get("trials", 3)),
+                                  seed=int(entry.get("seed", 0)),
+                                  cutoff=int(entry.get("cutoff", 40)))
         else:
             return {"entry": entry, "passed": False,
                     "error": f"unknown command {cmd!r}", "usage_error": True}
@@ -261,7 +246,9 @@ def build_parser():
     t.add_argument("--transform", required=True)
     t.add_argument("--trials", type=int, default=5)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--cutoff", type=int, default=60)
+    t.add_argument("--cutoff", type=int, default=60,
+                   help="soundness truncation order in halves; the composition "
+                        "checks compare below min(cutoff, 40)")
     t.add_argument("--n-min", type=int, default=-6)
     t.add_argument("--n-max", type=int, default=6)
     t.set_defaults(func=cmd_transform_check)

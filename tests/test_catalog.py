@@ -224,6 +224,36 @@ def test_catalog_validation_errors():
                            "c2": QParam.infinity(), "bs": [Q, Q, Q]}, 20)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_master_r_equal_k_with_an_infinite_level_k_pair(k):
+    # finite c1, c2 are admitted at r = k once the pair (b_k, b_{k+1}) is infinite
+    inf = QParam.infinity()
+    bs = [fin(2, 2)] + [fin(5, 1)] * (k - 2) + [inf, inf] + [fin(-2, 3)] * (k - 2)
+    both("bressoud_master", {"k": k, "r": k, "a": fin(3, 1), "c1": fin(2, 3),
+                             "c2": fin(5, 2), "bs": bs}, 30)
+    bs[k - 1] = fin(2, 2)
+    with pytest.raises(BadParam, match="level-k pair"):
+        evaluate_identity("bressoud_master", {"k": k, "r": k, "a": fin(3, 1),
+                                              "c1": fin(2, 3), "c2": fin(5, 2),
+                                              "bs": bs}, 30)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_lambda1_at_i_equal_r_with_finite_c(r):
+    # lambda1 at i = r is the master's r = k case with an infinite level-k pair
+    both("lambda1", {"r": r, "i": r, "a": fin(3, 1), "b1": fin(2, 2),
+                     "c1": fin(5, 3), "c2": QParam.infinity()}, 30)
+
+
+@pytest.mark.xfail(strict=True, reason="the master j-sum stops after four skipped "
+                   "terms (a heuristic); its floor dips below the cutoff again later")
+@pytest.mark.parametrize("r, i, cutoff, a_halves", [(2, 1, 30, -40), (3, 2, 40, -60)])
+def test_lambda1_early_stop_reproducers(r, i, cutoff, a_halves):
+    inf = QParam.infinity()
+    both("lambda1", {"r": r, "i": i, "a": fin(3, a_halves), "b1": inf,
+                     "c1": inf, "c2": inf}, cutoff)
+
+
 def test_identity_names_exposed():
     names = identity_names()
     for expected in ("rr", "ag", "mag", "gg", "bressoud_master", "lambda1"):

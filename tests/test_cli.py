@@ -1,5 +1,6 @@
 """CLI exit codes, JSON reports, and batch execution."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -175,3 +176,33 @@ def test_short_compare_is_not_a_pass(tmp_path, monkeypatch, capsys):
     result = json.loads(capsys.readouterr().out)["results"][0]
     assert result["passed"] is False
     assert result["compared_halves"] == 50
+
+
+def test_batch_transform_check_reports_what_the_command_reports(tmp_path):
+    # one transform-check path: batch entries run the composition checks too
+    r = run("--format", "json", "transform-check", "--transform", "key1",
+            "--seed", "3", "--trials", "2", "--cutoff", "30")
+    assert r.returncode == 0, r.stderr
+    command = json.loads(r.stdout)
+    assert command["compositions"]
+    f = tmp_path / "batch.json"
+    f.write_text(json.dumps([{"command": "transform-check", "transform": "key1",
+                              "seed": 3, "trials": 2, "cutoff": 30}]))
+    r = run("--format", "json", "batch", "--file", str(f))
+    assert r.returncode == 0, r.stderr
+    entry = json.loads(r.stdout)["results"][0]
+    for key in ("soundness", "compositions", "passed"):
+        assert entry[key] == command[key], key
+
+
+def test_deep_lambda1_report_digest():
+    # r=3 i=2 at a = 3*q^(-40/2): a deep lambda1 case outside the benchmark,
+    # pinned to its report (less runtime_ms) from before lambda1 was a
+    # parameter map onto the master identity
+    r = run("--format", "json", "verify", "--identity", "lambda1", "--r", "3",
+            "--i", "2", "--cutoff", "40", "--param", "a=3*q^(-40/2)",
+            "--param", "b1=2*q", "--param", "c1=inf", "--param", "c2=inf")
+    assert r.returncode == 0, r.stderr
+    body = {k: v for k, v in json.loads(r.stdout).items() if k != "runtime_ms"}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == "b848c2dbed138c7a08105118eabf813e45b1a56970de89de7de9a3a6dd7938d6"
