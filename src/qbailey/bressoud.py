@@ -218,37 +218,36 @@ def bressoud_lhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             e += _recip_floor(a / q1, s) + _recip_floor(a / q2, s)
         return e
 
-    def term(chain, cut):
+    def level(d, prev, s):
         fp = FactorProduct()
-        fp.times_scalar(sign(chain[0]))
-        for d in range(1, depth + 1):
-            s = chain[d - 1]
-            fp.times_param_pow(a, s)
-            fp.times_qpow(expo(d, s))
-            if d == 1:
-                fp_pp(fp, bs[0], s)
-            elif d <= r:
+        fp.times_param_pow(a, s)
+        fp.times_qpow(expo(d, s))
+        if d == 1:
+            fp.times_scalar(sign(s))
+            fp_pp(fp, bs[0], s)
+        else:
+            fp.times_poch(Q, prev - s, den=True)
+            if d <= r:
                 p1, p2 = pair_params(d)
                 fp_pp(fp, p1, s)
                 fp_pp(fp, p2, s)
-                fp.times_poch((a / p1) / p2, chain[d - 2] - s)
-                fp.times_poch(a / p1, chain[d - 2], den=True)
-                fp.times_poch(a / p2, chain[d - 2], den=True)
-            if d >= 2:
-                fp.times_poch(Q, chain[d - 2] - s, den=True)
-        s_last = chain[depth - 1]
-        if virtual:
-            p1, p2 = pair_params(r)
-            fp.times_poch((a / p1) / p2, s_last)
-            fp.times_poch(a / p1, s_last, den=True)
-            fp.times_poch(a / p2, s_last, den=True)
-        fp.times_poch(aq_c1c2, s_last)
-        fp.times_poch(Q, s_last, den=True)
-        fp.times_poch(aq_c1, s_last, den=True)
-        fp.times_poch(aq_c2, s_last, den=True)
-        return fp.series(cut)
+                fp.times_poch((a / p1) / p2, prev - s)
+        # the (a/b_d, a/b')_{s_{d-1}} denominators of the next pair, charged here
+        if d + 1 <= r and (d + 1 <= depth or virtual):
+            q1, q2 = pair_params(d + 1)
+            fp.times_poch(a / q1, s, den=True)
+            fp.times_poch(a / q2, s, den=True)
+        if d == depth:
+            if virtual:  # the coupling of level r, where s_r = 0
+                p1, p2 = pair_params(r)
+                fp.times_poch((a / p1) / p2, s)
+            fp.times_poch(aq_c1c2, s)
+            fp.times_poch(Q, s, den=True)
+            fp.times_poch(aq_c1, s, den=True)
+            fp.times_poch(aq_c2, s, den=True)
+        return fp
 
-    spec = MultisumSpec(depth=depth, lower_bound=0, term=term, level_floor=level_floor)
+    spec = MultisumSpec(depth=depth, lower_bound=0, level=level, level_floor=level_floor)
     return multisum_eval(spec, cutoff)
 
 
@@ -390,34 +389,36 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
                     return INF
         return e
 
-    def term(chain, cut):
+    def level(d, prev, s):
         fp = FactorProduct()
-        for d in range(2, r + 1):
-            for arg in tail_args(d, chain[d - 2]):
+        fp.times_param_pow(a, s)
+        fp.times_qpow(2 * s * s - (2 * s if d <= r - 1 else 0))
+        if d == 1:
+            ins = q1s(bs[0], s)
+            if ins is not None:
+                fp.times_poch(*ins)
+        else:
+            fp.times_poch(Q, prev - s, den=True)
+        # the tails of the next pair are indexed by this level's value
+        if d + 1 <= r:
+            for arg in tail_args(d + 1, s):
                 fp.times_poch(arg, INF)
-        for d in range(1, depth + 1):
-            s = chain[d - 1]
-            fp.times_param_pow(a, s)
-            fp.times_qpow(2 * s * s - (2 * s if d <= r - 1 else 0))
-            if d >= 2:
-                fp.times_poch(Q, chain[d - 2] - s, den=True)
-        ins = q1s(bs[0], chain[0])
-        if ins is not None:
-            fp.times_poch(*ins)
-        for d in range(2, r + 1):
-            s = chain[d - 1] if d <= depth else 0  # virtual s_r = 0 at r = k
-            fp.times_poch((a / pair_params(d)[0]) / pair_params(d)[1],
-                          chain[d - 2] - s)
-            for p in pair_params(d):
-                got = q1s(p, s)
+        pairs = [(d, prev, s)] if 2 <= d <= r else []
+        if virtual and d == depth:
+            pairs.append((r, s, 0))  # the pair of the virtual level r, where s_r = 0
+        for dd, outer, inner in pairs:
+            p1, p2 = pair_params(dd)
+            fp.times_poch((a / p1) / p2, outer - inner)
+            for p in (p1, p2):
+                got = q1s(p, inner)
                 if got is not None:
                     fp.times_poch(*got)
-        s_last = chain[depth - 1]
-        fp.times_poch(aq_c1c2, s_last)
-        fp.times_poch(Q, s_last, den=True)
-        fp.times_poch(aq_c1, s_last, den=True)
-        fp.times_poch(aq_c2, s_last, den=True)
-        return fp.series(cut)
+        if d == depth:
+            fp.times_poch(aq_c1c2, s)
+            fp.times_poch(Q, s, den=True)
+            fp.times_poch(aq_c1, s, den=True)
+            fp.times_poch(aq_c2, s, den=True)
+        return fp
 
-    spec = MultisumSpec(depth=depth, lower_bound=0, term=term, level_floor=level_floor)
+    spec = MultisumSpec(depth=depth, lower_bound=0, level=level, level_floor=level_floor)
     return multisum_eval(spec, cutoff)

@@ -24,7 +24,7 @@ from .errors import BadParam, UnknownIdentity
 from .qparams import ONE, Q, QParam
 from .qfunctions import FactorProduct, poch_val, qbinom, sign, triple_product
 from .multisum import MultisumSpec, multisum_eval
-from .series import INF, Series, first_diff
+from .series import INF, Series, first_diff, sum_series
 from . import bressoud
 
 
@@ -127,25 +127,27 @@ def _chain_spec(depth, lb, expo, links=None, extra=None, last_upper=None,
     """Multisum over s_1 >= ... >= s_depth >= lb.
 
     expo(d, s): halves of the q-power carried by s_d (certified floor as well).
-    links: base halves b of the denominators (Q;Q)_{s_d - s_{d+1}}, Q = q^(b/2),
-           one entry per link d = 1..depth-1, plus an optional last entry for
+    links: base halves b of the denominators (Q;Q)_{s_{d-1} - s_d}, Q = q^(b/2),
+           one entry per link d = 2..depth, plus an optional last entry for
            the final denominator (Q;Q)_{s_depth}; default depth-1 links of
            base q and no final denominator.
-    extra(fp, chain): install the remaining factors on the FactorProduct.
+    extra(fp, d, s): install level d's remaining factors, which depend on s_d
+           alone, on the FactorProduct.
     extra_floor(d, s): certified extra valuation carried by s_d.
     """
     link_bases = [2] * (depth - 1) if links is None else links
 
-    def term(chain, cut):
-        fp = FactorProduct()
-        for d in range(1, depth + 1):
-            fp.times_qpow(expo(d, chain[d - 1]))
-        for d, b in enumerate(link_bases, 1):
-            below = chain[d] if d < depth else 0
-            fp.times_poch(QParam.finite(1, b), chain[d - 1] - below, base=b, den=True)
+    def level(d, prev, s):
+        fp = FactorProduct().times_qpow(expo(d, s))
+        if d >= 2:
+            b = link_bases[d - 2]
+            fp.times_poch(QParam.finite(1, b), prev - s, base=b, den=True)
+        if d == depth and len(link_bases) == depth:
+            b = link_bases[-1]
+            fp.times_poch(QParam.finite(1, b), s, base=b, den=True)
         if extra is not None:
-            extra(fp, chain)
-        return fp.series(cut)
+            extra(fp, d, s)
+        return fp
 
     def level_floor(d, s):
         e = expo(d, s)
@@ -153,7 +155,7 @@ def _chain_spec(depth, lb, expo, links=None, extra=None, last_upper=None,
             e += extra_floor(d, s)
         return e
 
-    return MultisumSpec(depth=depth, lower_bound=lb, term=term,
+    return MultisumSpec(depth=depth, lower_bound=lb, level=level,
                         level_floor=level_floor, last_upper=last_upper)
 
 
@@ -172,11 +174,8 @@ def _product_side(side):
             return pre.series(cutoff)
 
         def body(c):
-            out = Series.zero()
-            for coeff, h, mod, z in terms:
-                tp = triple_product(QParam.finite(1, z), c - min(0, h), base=mod)
-                out = out + tp.times_monomial(coeff, h)
-            return out.truncate(c)
+            return sum_series((triple_product(QParam.finite(1, z), c - min(0, h), base=mod)
+                               .times_monomial(coeff, h) for coeff, h, mod, z in terms), c)
 
         return pre.series_times(body, cutoff)
 
@@ -292,9 +291,11 @@ def _lhs_mag(p, cutoff):
             e += s * (s - 1)
         return e
 
-    spec = _chain_spec(r, -(m // 2), expo,
-                       extra=lambda fp, ch: _shifted_binom_tail(fp, m, ch[-1]),
-                       last_upper=0)
+    def extra(fp, d, s):
+        if d == r:
+            _shifted_binom_tail(fp, m, s)
+
+    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
 
 
@@ -354,10 +355,10 @@ def _lhs_mb(p, cutoff):
     def expo(d, s):
         return 2 * s * s + (2 * m * s if d <= r - 1 else 0) - (2 * s if d <= i else 0)
 
-    def extra(fp, ch):
-        s = ch[-1]
-        fp.times_poch(_neg(2), m + 2 * s - 1)
-        _shifted_binom_tail(fp, m, s, base=4)
+    def extra(fp, d, s):
+        if d == r:
+            fp.times_poch(_neg(2), m + 2 * s - 1)
+            _shifted_binom_tail(fp, m, s, base=4)
 
     spec = _chain_spec(r, -(m // 2), expo, links=[2] * (r - 2) + [4], extra=extra,
                        last_upper=0)
@@ -403,9 +404,11 @@ def _lhs_fij0(p, cutoff):
             e += 2 * s
         return e
 
-    # the (1+q) prefactor is the factor (1 - (-q))
-    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 2) + [4],
-                       extra=lambda fp, ch: fp.times_factor(_neg(2)))
+    def extra(fp, d, s):
+        if d == 1:
+            fp.times_factor(_neg(2))  # the (1+q) prefactor is the factor (1 - (-q))
+
+    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 2) + [4], extra=extra)
     return multisum_eval(spec, cutoff)
 
 
@@ -454,10 +457,10 @@ def _lhs_mfij(p, cutoff):
             e -= 4 * s
         return e
 
-    def extra(fp, ch):
-        s = ch[-1]
-        fp.times_poch(_neg(2), m + 2 * s)
-        _shifted_binom_tail(fp, m, s, base=4)
+    def extra(fp, d, s):
+        if d == r:
+            fp.times_poch(_neg(2), m + 2 * s)
+            _shifted_binom_tail(fp, m, s, base=4)
 
     spec = _chain_spec(r, -(m // 2), expo, links=[2] * (r - 2) + [4], extra=extra,
                        last_upper=0)
@@ -484,7 +487,7 @@ def _v_gg(p):
 def _lhs_gg(p, cutoff):
     i = p["i"]
     spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + 2 * (1 - i) * s), links=[4],
-                       extra=lambda fp, ch: fp.times_poch(_neg(2), ch[0], base=4))
+                       extra=lambda fp, d, s: fp.times_poch(_neg(2), s, base=4))
     return multisum_eval(spec, cutoff)
 
 
@@ -507,9 +510,11 @@ _register(name="gg", summary="single-sum modulus-8 pair", int_params=("i",),
 
 def _b3x_lhs(r, expo, neg_halves, cutoff):
     """Doubled-base chain over s_1..s_{r-1} with (-q^(neg/2) q^{2 s_{r-1}};q^2)_oo."""
-    spec = _chain_spec(r - 1, 0, expo, links=[4] * (r - 1),
-                       extra=lambda fp, ch: fp.times_poch(_neg(neg_halves + 4 * ch[-1]),
-                                                          INF, base=4))
+    def extra(fp, d, s):
+        if d == r - 1:
+            fp.times_poch(_neg(neg_halves + 4 * s), INF, base=4)
+
+    spec = _chain_spec(r - 1, 0, expo, links=[4] * (r - 1), extra=extra)
     return multisum_eval(spec, cutoff)
 
 
@@ -548,9 +553,9 @@ _register(name="b37", summary="doubled-base modulus-4r family, signed k-tail",
 def _lhs_b38(p, cutoff, last_base=4):
     r, i = p["r"], p["i"]
 
-    def extra(fp, ch):
-        s1 = ch[0]
-        fp.times_poch(_neg(2 - 4 * s1), s1, base=4)  # (-q^{1-2s_1};q^2)_{s_1}
+    def extra(fp, d, s):
+        if d == 1:
+            fp.times_poch(_neg(2 - 4 * s), s, base=4)  # (-q^{1-2s_1};q^2)_{s_1}
 
     def extra_floor(d, s):
         # the insertion at s_1 dips below valuation 0 (exponents 1-2s_1, ...)
@@ -598,11 +603,12 @@ def _lhs_mbr36(p, cutoff):
             e -= (m + 1) * s
         return e
 
-    def extra(fp, ch):
-        fp.times_poch(_neg(m + 1), ch[-1])
-        if r >= 2:
-            fp.times_poch(_neg(m + 1), ch[-2], den=True)
-        _shifted_binom_tail(fp, m, ch[-1])
+    def extra(fp, d, s):
+        if d == r:
+            fp.times_poch(_neg(m + 1), s)
+            _shifted_binom_tail(fp, m, s)
+        elif d == r - 1:
+            fp.times_poch(_neg(m + 1), s, den=True)
 
     spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
@@ -632,11 +638,12 @@ def _lhs_mbr37(p, cutoff):
             e += m * s
         return e
 
-    def extra(fp, ch):
-        fp.times_poch(_neg(m), ch[-1])
-        if r >= 2:
-            fp.times_poch(_neg(2 + m), ch[-2], den=True)
-        _shifted_binom_tail(fp, m, ch[-1])
+    def extra(fp, d, s):
+        if d == r:
+            fp.times_poch(_neg(m), s)
+            _shifted_binom_tail(fp, m, s)
+        elif d == r - 1:
+            fp.times_poch(_neg(2 + m), s, den=True)
 
     spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
@@ -685,9 +692,11 @@ def _mbr89_expo(m, i, r):
 def _lhs_mbr38(p, cutoff):
     m, r, i = p["m"], p["r"], p["i"]
 
-    def extra(fp, ch):
-        fp.times_poch(_neg(m), ch[0])
-        _shifted_binom_tail(fp, m, ch[-1], with_csq=True)
+    def extra(fp, d, s):
+        if d == 1:
+            fp.times_poch(_neg(m), s)
+        if d == r:
+            _shifted_binom_tail(fp, m, s, with_csq=True)
 
     spec = _chain_spec(r, -(m // 2), _mbr89_expo(m, i, r), extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
@@ -723,12 +732,14 @@ def _lhs_mbr39(p, cutoff):
             e -= (m + 1) * s
         return e
 
-    def extra(fp, ch):
-        fp.times_poch(_neg(m), ch[0])
-        fp.times_poch(_neg(m + 1), ch[-1])
-        if r >= 2:
-            fp.times_poch(_neg(m + 1), ch[-2], den=True)
-        _shifted_binom_tail(fp, m, ch[-1])
+    def extra(fp, d, s):
+        if d == 1:
+            fp.times_poch(_neg(m), s)
+        if d == r:
+            fp.times_poch(_neg(m + 1), s)
+            _shifted_binom_tail(fp, m, s)
+        elif d == r - 1:
+            fp.times_poch(_neg(m + 1), s, den=True)
 
     spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
     return multisum_eval(spec, cutoff)
@@ -763,10 +774,11 @@ def _lhs_new1(p, cutoff, with_half_tail=False):
             return s * s + s - 2 * s * (1 if 1 <= i else 0)
         return 2 * s * s - (2 * s if d <= i else 0)
 
-    def extra(fp, ch):
-        fp.times_poch(_neg(0), ch[0])
-        if with_half_tail:
-            fp.times_poch(_neg(1), ch[-1], den=True)
+    def extra(fp, d, s):
+        if d == 1:
+            fp.times_poch(_neg(0), s)
+        if with_half_tail and d == r - 1:
+            fp.times_poch(_neg(1), s, den=True)
 
     spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 1), extra=extra)
     return multisum_eval(spec, cutoff)
@@ -873,14 +885,18 @@ _register(name="newlattice3", summary="twisted lattice-route identity",
           qparam_params=("a", "rho1", "rho", "sigma"),
           list_params=("rhos", "sigmas"), validate=_v_latroute,
           **_via_master(_newlattice3_args),
-          domain_doc="r >= 2, 1 <= i <= r-1; i-1 inner parameter pairs")
+          domain_doc="r >= 2, 1 <= i <= r-1; the inner parameters rho_2..rho_i and "
+                     "sigma_2..sigma_i are given as rhos1..rhos(i-1) and "
+                     "sigmas1..sigmas(i-1) (or sigma1..sigma(i-1))")
 
 _register(name="lattice3", summary="classical lattice-route identity",
           int_params=("r", "i"),
           qparam_params=("a", "rho1", "rho", "sigma"),
           list_params=("rhos", "sigmas"), validate=_v_latroute,
           **_via_master(_lattice3_args),
-          domain_doc="r >= 2, 1 <= i <= r-1; i-1 inner parameter pairs")
+          domain_doc="r >= 2, 1 <= i <= r-1; the inner parameters rho_2..rho_i and "
+                     "sigma_2..sigma_i are given as rhos1..rhos(i-1) and "
+                     "sigmas1..sigmas(i-1) (or sigma1..sigma(i-1))")
 
 
 # ---------------------------------------------------------------------------

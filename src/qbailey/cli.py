@@ -60,7 +60,9 @@ def _coerce_identity_params(name, raw):
             idx += 1
         params[key] = vals
     if raw:
-        raise BadParam(f"unknown parameters for {name}: {sorted(raw)}")
+        spelled = "".join(f"; {key} are given in order as {key}1, {key}2, ..."
+                          for key in desc.list_params)
+        raise BadParam(f"unknown parameters for {name}: {sorted(raw)}{spelled}")
     return params
 
 

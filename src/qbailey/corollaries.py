@@ -26,6 +26,7 @@ from __future__ import annotations
 from .errors import BadParam, PoleError, TruncationUnreachable
 from .qparams import Q, QParam
 from .qfunctions import FactorProduct, fp_pp, poch_val, sign
+from .multisum import MultisumSpec, multisum_eval
 from .pairs import BaileyPair, VerifyReport
 from .series import INF, Series, first_diff, truncated_sum
 
@@ -128,29 +129,24 @@ def _corollary_lhs(pair, r, i, b, c, cutoff, bc):
             e -= v if kind != "zero" else 0
         return e
 
-    def term(chain, cut):
+    def level(d, prev, s):
         fp = FactorProduct()
-        for d in range(1, r + 1):
-            s = chain[d - 1]
-            fp.times_param_pow(a, s)
-            if bc and (d == 1 or d == r):
-                fp.times_qpow(s * s + s - 2 * s * (1 if d <= i else 0))
-                fp.times_scalar(sign(s))
-                p = b if d == 1 else c
-                fp_pp(fp, p if p is not None else QParam.infinity(), s)
-            else:
-                fp.times_qpow(2 * s * s - 2 * s * (1 if d <= i else 0))
-            if d >= 2:
-                fp.times_poch(Q, chain[d - 2] - s, den=True)
-        if aq_c is not None:
-            fp.times_poch(aq_c, chain[r - 2], den=True)
-        s_r = chain[r - 1]
-        return fp.series_times(lambda cc: pair.beta(s_r, cc), cut, beta.val_bound(s_r))
+        fp.times_param_pow(a, s)
+        if bc and (d == 1 or d == r):
+            fp.times_qpow(s * s + s - 2 * s * (1 if d <= i else 0))
+            fp.times_scalar(sign(s))
+            p = b if d == 1 else c
+            fp_pp(fp, p if p is not None else QParam.infinity(), s)
+        else:
+            fp.times_qpow(2 * s * s - 2 * s * (1 if d <= i else 0))
+        if d >= 2:
+            fp.times_poch(Q, prev - s, den=True)
+        if aq_c is not None and d == r - 1:
+            fp.times_poch(aq_c, s, den=True)
+        return fp
 
-    from .multisum import MultisumSpec, multisum_eval
-    spec = MultisumSpec(depth=r, lower_bound=lb, term=term,
-                        level_floor=level_floor_full,
-                        last_upper=None if last_hi == INF else int(last_hi))
+    spec = MultisumSpec(depth=r, lower_bound=lb, level=level, level_floor=level_floor_full,
+                        last_upper=None if last_hi == INF else int(last_hi), seed=beta)
     return multisum_eval(spec, cutoff)
 
 

@@ -1,31 +1,81 @@
-"""Depth-first evaluation of nested q-multisums with quadratic pruning.
+"""Nested q-multisums as seeded kernel passes down the chain tree.
 
 A ``MultisumSpec`` describes a sum over chains s_1 >= s_2 >= ... >= s_r >=
-lower_bound (optionally with a cap on the innermost index, e.g. where a
-q-binomial support truncates the chain).  ``level_floor(d, s)`` must be a
-certified lower bound on the contribution of s_d = s to the valuation of the
-full term, so that val(term(s_1..s_r)) >= sum_d level_floor(d, s_d).  The
-enumerator prunes a branch the moment the accumulated floor plus the best
-possible completion reaches the cutoff, and extends the unbounded outermost
-index until its floor is past its vertex and out of range.
+lower_bound (optionally with a cap ``last_upper`` on the innermost index,
+e.g. where a q-binomial support truncates the chain) as per-level data.
+``level(d, prev, s)`` is the ``FactorProduct`` of what level d contributes
+when s_{d-1} = prev (None at d = 1) and s_d = s: its q-power, the link
+(Q;Q)_{prev-s}, and any factor or series that depends on the pair.  An
+optional ``seed`` sequence (a Bailey pair's beta) multiplies the last level
+by seed(s_r, c).  ``level_floor(d, s)`` must be a certified lower bound on
+the contribution of s_d = s to the valuation of the full term, so that
+val(term(s_1..s_r)) >= sum_d level_floor(d, s_d).
+
+The walk is depth first.  It prunes a branch the moment the accumulated
+floor plus the best possible completion (``gmin``) reaches the cutoff, and
+extends the unbounded outermost index until its floor is past its vertex
+and out of range.  Each node carries the kernel's own state, a
+``qfunctions.PartialProduct``: one dense int list over a common
+denominator, with its scalar, shift and length, for the product of the
+levels chosen so far.  Level d applies only its own factors to a copy of
+its parent's list, cut to cutoff - (floors of levels 1..d) - gmin[d+1]
+entries, the most that its completions can still bring below the cutoff.
+The siblings of a node share one running product: from s_d to the next
+s_d the level's factors change by a few (one more link factor, one less),
+so the running list is updated by that quotient and each sibling cuts its
+own list from it.
+
+A factor (1 - c x^h) with h != 0 is a unit, so applying it, or dividing it
+back out, level by level is exact.  Only (1 - x^0) factors need the
+multiset cancellation, so the walk carries their net count: positive at a
+leaf means the term is zero, negative raises ``PoleError``.  Cutoffs follow
+the kernel's algebra: if ``gmin`` overestimates a minimum, the lists it
+sizes leave their leaves exact below less than the cutoff, and the sum
+reports the shorter cutoff instead of a wrong coefficient.  (The pruning
+itself still trusts ``gmin``, a minimum over a sampled window.)
+
+Each emitted chain goes through ``term(chain, leaf)``, which builds its
+series from the leaf list and checks the chain's floor against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 from .errors import CertificateViolation, TruncationUnreachable
-from .series import INF, Series
+from .qfunctions import PartialProduct
+from .series import INF, Series, sum_series
+
+
+@dataclass
+class Leaf:
+    """An emitted chain's partial product, the cutoff and the chain's floor."""
+    part: PartialProduct
+    cutoff: object
+    floor: object
+
+
+def leaf_series(chain, leaf: Leaf) -> Series:
+    """The chain's term, exact below the cutoff; raises CertificateViolation
+    when it has a coefficient below the chain's floor."""
+    t = leaf.part.series(leaf.cutoff)
+    if t.terms and min(t.terms) < leaf.floor:
+        raise CertificateViolation(
+            f"multisum floor {leaf.floor} exceeds term valuation {t.val()} at {chain}")
+    return t
 
 
 @dataclass
 class MultisumSpec:
     depth: int
     lower_bound: int
-    term: object          # (chain tuple, cutoff) -> Series
+    level: object         # (d, prev, s) -> FactorProduct of level d's own factors
     level_floor: object   # (d, s) -> halves, certified lower bound
     last_upper: int | None = None
+    seed: object = None   # sequence: seed(s, c) exact below c, seed.val_bound(s)
+    term: object = leaf_series  # (chain, Leaf) -> Series, the emission hook
 
     def val_floor(self, chain):
         return sum(self.level_floor(d + 1, s) for d, s in enumerate(chain))
@@ -42,24 +92,47 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
         lo = min(spec.level_floor(d, s) for s in range(lb, lb + span + 1))
         gmin[d] = min(lo, 0) + gmin[d + 1] if lo != INF else gmin[d + 1]
 
-    out = Series.zero(cutoff)
+    terms = []
     chain = []
-    added = 0
 
-    def emit():
-        nonlocal out, added
-        t = spec.term(tuple(chain), cutoff)
-        floor = spec.val_floor(chain)
-        if t.terms and min(t.terms) < floor:
-            raise CertificateViolation(
-                f"multisum floor {floor} exceeds term valuation {t.val()} at {tuple(chain)}")
-        out = out + t
-        added += 1
+    def visit(d, prev, sibs, parent):
+        """Level d at each (s, acc) of ``sibs``, ascending in s; acc includes
+        level d's floor.  One running product carries parent * level(d, prev, s)
+        from sibling to sibling, where it changes by a few factors, with
+        as many entries as any later sibling needs; each sibling cuts its
+        own list from it."""
+        needs = [cutoff - acc - gmin[d + 1] for _, acc in sibs]
+        keep = list(accumulate(reversed(needs), max))[::-1]
+        run = PartialProduct.one(keep[0]) if parent is None else parent
+        last = None
+        seed = spec.seed if d == r else None
+        for (s, acc), n, k in zip(sibs, needs, keep):
+            chain.append(s)
+            fp = spec.level(d, prev, s)
+            if not fp.annihilated:
+                run, last = run.times_ratio(fp, last, k), fp
+            vb = 0 if seed is None else seed.val_bound(s)
+            part = (PartialProduct(None) if fp.annihilated
+                    else run.times_rest(fp, n, cutoff - vb if d == r else INF))
+            if d < r:
+                rec(d + 1, s, acc, part)
+            else:
+                emit(s, part, vb)
+            chain.pop()
 
-    def rec(d, prev, acc):
-        if d > r:
-            emit()
-            return
+    def emit(s, part, vb):
+        seed = spec.seed
+        if seed is not None and part.a is not None and part.zeros <= 0:
+            # as in FactorProduct.series_times: when the floors reach the
+            # cutoff nothing is built (and a pole is not raised)
+            if part.shift + vb >= cutoff:
+                part = PartialProduct(None)
+            elif not part.zeros:
+                part = part.times_series(seed(s, cutoff - part.shift), cutoff)
+        terms.append(spec.term(tuple(chain), Leaf(part, cutoff, spec.val_floor(chain))))
+
+    def rec(d, prev, acc, parent):
+        sibs = []
         if d == 1:
             cap_hi = spec.last_upper if r == 1 else None
             s = lb
@@ -70,25 +143,20 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
                     raise TruncationUnreachable("outermost multisum index did not close")
                 fl = spec.level_floor(1, s)
                 if acc + fl + gmin[2] < cutoff:
-                    chain.append(s)
-                    rec(2, s, acc + fl)
-                    chain.pop()
+                    sibs.append((s, acc + fl))
                 elif s > lb and fl >= spec.level_floor(1, s - 1):
                     break
                 s += 1
-            return
-        hi = prev
-        if d == r and spec.last_upper is not None:
-            hi = min(hi, spec.last_upper)
-        for s in range(lb, hi + 1):
-            fl = spec.level_floor(d, s)
-            if acc + fl + gmin[d + 1] >= cutoff:
-                continue
-            chain.append(s)
-            rec(d + 1, s, acc + fl)
-            chain.pop()
+        else:
+            hi = prev
+            if d == r and spec.last_upper is not None:
+                hi = min(hi, spec.last_upper)
+            for s in range(lb, hi + 1):
+                fl = spec.level_floor(d, s)
+                if acc + fl + gmin[d + 1] < cutoff:
+                    sibs.append((s, acc + fl))
+        if sibs:
+            visit(d, prev, sibs, parent)
 
-    rec(1, None, 0)
-    if added == 0:
-        return Series.zero(cutoff)
-    return out.truncate(cutoff)
+    rec(1, None, 0, None)
+    return sum_series(terms, cutoff)

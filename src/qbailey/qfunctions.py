@@ -22,16 +22,26 @@ nonpositive-exponent factors join the multisets (so a zero (q^-t;q)_oo, or a
 rest are listed only as far as the requested cutoff needs.
 
 Every product of factors (1 - c x^h)^(+-1) -- finite, negative-index and
-infinite Pochhammers, their reciprocals, the triple product and the
-assembled ``FactorProduct`` ratio -- is multiplied out by one dense kernel,
-``_expand``, which applies the factors in place to a seed series: 1, or the
-series a ``FactorProduct`` multiplies (a sequence value, a bracket
-polynomial).  Its inner loops run on Python ints over one common
-denominator, whatever the factors' rational coefficients; the
-``FactorProduct``'s monomial joins the kernel's scalar and shift, and each
-coefficient is reduced to lowest terms once, when the result is built.
-Sparse ``Series`` multiplication stays for products of general series; the
-kernel is checked against it, ``Series.invert`` and ``oracle.py``.
+infinite Pochhammers, their reciprocals, the triple product, the assembled
+``FactorProduct`` ratio and the terms of a multisum -- is multiplied out by
+one dense kernel in three phases:
+
+  1. ``_steps`` normalises the factors and the monomial into a scalar, a
+     shift, a count of (1 - x^0) factors and steps (1 - (p/d) x^h)^(+-1)
+     with h > 0;
+  2. ``_apply`` applies the steps in place to one dense list of Python ints
+     over one common denominator, whatever the factors' rational
+     coefficients;
+  3. ``_build`` reduces each coefficient to lowest terms once, into the
+     resulting ``Series``.
+
+``_expand`` runs the three on a seed series (1, or the series a
+``FactorProduct`` multiplies: a sequence value, a bracket polynomial).
+``PartialProduct`` keeps the list, its denominator, scalar, shift and
+(1 - x^0) count between passes, so that a multisum walk applies each level's
+factors once to a list its chains share (see ``multisum``).  Sparse
+``Series`` multiplication stays for products of general series; the kernel
+is checked against it, ``Series.invert`` and ``oracle.py``.
 """
 
 from __future__ import annotations
@@ -62,69 +72,52 @@ def _factor_val(mono):
     return min(0, mono[1])
 
 
-def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
-    """coeff * x^halves * ``seed`` * prod(1 - c x^h) over ``num`` / prod(1 - c x^h)
-    over ``den``.
+def _steps(num, den, coeff=1, halves=0):
+    """Phase 1: normalise coeff * x^halves * prod(1 - c x^h) over ``num`` /
+    prod(1 - c x^h) over ``den`` into (scalar, shift, steps, zeros).
 
-    ``num`` and ``den`` are iterables of monomials (c, h), repeated for
-    multiplicity.  The factors multiply out to scalar * x^shift * (a power
-    series leading with 1), and the monomial coeff * x^halves joins that
-    scalar and shift, so the result is exact below
-    min(cutoff, seed.cutoff + shift).  ``cutoff=None`` (or INF) asks for
-    everything the seed determines; with an exact seed that is the exact
-    polynomial, which admits no denominator.
-
-    This is the one place where factors (1 - c x^h)^(+-1) meet a series.
-    Each factor is written as scalar * x^shift * (1 - (p/d) x^h') with h' > 0
-    and p/d in lowest terms (h = 0 is a pure scalar, h < 0 gives
-    -c x^h (1 - x^(-h)/c)); the scalars and shifts are pulled out, and the
-    (1 - (p/d) x^h') parts act in place on one dense list of ints a[0..n)
-    over one common denominator D.  The list starts as the seed's
-    coefficients over the lcm of their denominators.  A numerator factor
-    sets a[e] = d a[e] - p a[e-h'] for descending e and D *= d.  A
-    denominator factor sets b[e] = d^floor(e/h') a[e] + p b[e-h'] for
-    ascending e, so that b[e] / d^floor(e/h') is the quotient's
-    coefficient, then rescales every b[e] to d^floor((n-1)/h') and sets
-    D *= d^floor((n-1)/h').  With d = 1 both are the plain a[e] -= p a[e-h']
-    and a[e] += p a[e-h'].  Each coefficient a[e] * scalar / D is reduced
-    once, when the result is built.
+    The product is scalar * x^shift * (1 - x^0)^zeros times the steps
+    (p, d, h, inv): (1 - (p/d) x^h) with h > 0 and p/d in lowest terms,
+    inverted when ``inv``.  A factor with h = 0 is a pure scalar, except
+    (1 - x^0), which is only counted: a positive count makes the product
+    zero, a negative one is a pole.  h < 0 gives -c x^h (1 - x^(-h)/c).
     """
-    cutoff = INF if cutoff is None else cutoff
-    exact = cutoff == INF and seed.cutoff == INF
     scalar = Fraction(coeff)
     shift = halves
     steps = []
+    zeros = 0
     for monos, inv in ((num, False), (den, True)):
         for c, h in monos:
+            if h > 0:
+                steps.append((c.numerator, c.denominator, h, inv))
+                continue
             if h == 0:
+                if c == 1:
+                    zeros += -1 if inv else 1
+                    continue
                 f = 1 - c
-                if inv and f == 0:
-                    raise PoleError("uncancelled vanishing denominator factor")
             else:
-                if inv and exact:
-                    raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
-                f = 1
+                f = -c
+                shift += -h if inv else h
                 p, d = c.numerator, c.denominator
-                if h < 0:
-                    f = -c
-                    shift += -h if inv else h
-                    p, d, h = (d, p, -h) if p > 0 else (-d, -p, -h)
-                steps.append((p, d, h, inv))
+                steps.append((d, p, -h, inv) if p > 0 else (-d, -p, -h, inv))
             scalar = scalar / f if inv else scalar * f
-    cutoff = min(cutoff, seed.cutoff + shift)
-    if scalar == 0 or not seed.terms:
-        return Series.zero(cutoff)
-    v = min(seed.terms)
-    top = max(seed.terms) - v  # a[e] == 0 for every e > top
-    n = top + sum(h for _, _, h, _ in steps) + 1 if exact else cutoff - shift - v
-    if n <= 0:
-        return Series.zero(cutoff)
-    top = min(top, n - 1)
-    start = [(e - v, x) for e, x in seed.terms.items() if e - v < n]
-    D = lcm(*(x.denominator for _, x in start))
-    a = [0] * n
-    for e, x in start:
-        a[e] = x.numerator * (D // x.denominator)
+    return scalar, shift, steps, zeros
+
+
+def _apply(a, D, top, steps):
+    """Phase 2: apply the steps in place to the ints a[0..n) over the common
+    denominator D, where a[e] == 0 for every e > top; returns (D, top).
+
+    A numerator step sets a[e] = d a[e] - p a[e-h] for descending e and
+    D *= d.  A denominator step sets b[e] = d^floor(e/h) a[e] + p b[e-h] for
+    ascending e, so that b[e] / d^floor(e/h) is the quotient's coefficient,
+    then rescales every b[e] to d^floor((n-1)/h) and sets
+    D *= d^floor((n-1)/h).  With d = 1 both are the plain a[e] -= p a[e-h]
+    and a[e] += p a[e-h].  Entry e depends only on entries below it, so a
+    list cut to n entries stays exact below n.
+    """
+    n = len(a)
     for p, d, h, inv in steps:
         if h >= n:
             continue
@@ -160,10 +153,18 @@ def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
             for e in range(lo, lo + h):
                 a[e] *= w
         D *= w
+    return D, top
+
+
+def _build(a, D, scalar, shift, cutoff) -> Series:
+    """Phase 3: the series scalar / D * x^shift * sum a[e] x^e, exact below
+    ``cutoff``; each coefficient is reduced once."""
     scalar /= D
     p, d = scalar.numerator, scalar.denominator
-    v += shift
-    terms = {e + v: x * p for e, x in enumerate(a) if x}
+    if p == 1:
+        terms = {e + shift: x for e, x in enumerate(a) if x}
+    else:
+        terms = {e + shift: x * p for e, x in enumerate(a) if x}
     if d != 1:
         for e, x in terms.items():
             x = Fraction(x, d)
@@ -172,6 +173,153 @@ def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
     out.terms = terms
     out.cutoff = cutoff
     return out
+
+
+def _ints(s: Series, v, n):
+    """The coefficients of s at x^(v + e), 0 <= e < n, as ints over their lcm:
+    (list of (e, int), lcm)."""
+    start = [(e - v, x) for e, x in s.terms.items() if e - v < n]
+    D = lcm(*(x.denominator for _, x in start))
+    return [(e, x.numerator * (D // x.denominator)) for e, x in start], D
+
+
+def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
+    """coeff * x^halves * ``seed`` * prod(1 - c x^h) over ``num`` / prod(1 - c x^h)
+    over ``den``.
+
+    ``num`` and ``den`` are iterables of monomials (c, h), repeated for
+    multiplicity.  The factors multiply out to scalar * x^shift * (a power
+    series leading with 1), and the monomial coeff * x^halves joins that
+    scalar and shift, so the result is exact below
+    min(cutoff, seed.cutoff + shift).  ``cutoff=None`` (or INF) asks for
+    everything the seed determines; with an exact seed that is the exact
+    polynomial, which admits no denominator.
+
+    This is the one place where factors (1 - c x^h)^(+-1) meet a series, in
+    three phases: ``_steps`` normalises the factors, ``_apply`` applies them
+    in place to one dense list of ints over one common denominator (the
+    seed's coefficients over the lcm of their denominators), and ``_build``
+    reduces each coefficient once into the result.  ``PartialProduct``
+    carries the same list between passes.
+    """
+    cutoff = INF if cutoff is None else cutoff
+    exact = cutoff == INF and seed.cutoff == INF
+    scalar, shift, steps, zeros = _steps(num, den, coeff, halves)
+    if zeros < 0:
+        raise PoleError("uncancelled vanishing denominator factor")
+    if exact and any(inv for *_, inv in steps):
+        raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
+    cutoff = min(cutoff, seed.cutoff + shift)
+    if zeros or scalar == 0 or not seed.terms:
+        return Series.zero(cutoff)
+    v = min(seed.terms)
+    top = max(seed.terms) - v  # a[e] == 0 for every e > top
+    n = top + sum(h for _, _, h, _ in steps) + 1 if exact else cutoff - shift - v
+    if n <= 0:
+        return Series.zero(cutoff)
+    start, D = _ints(seed, v, n)
+    a = [0] * n
+    for e, x in start:
+        a[e] = x
+    D, _ = _apply(a, D, min(top, n - 1), steps)
+    return _build(a, D, scalar, v + shift, cutoff)
+
+
+class PartialProduct:
+    """The dense kernel's state between passes: scalar / D * x^shift *
+    sum a[e] x^e, exact below shift + len(a), times (1 - x^0)^zeros.
+
+    A multisum walk carries one per level.  ``times_ratio`` applies the
+    monomial and finite factors of one ``FactorProduct`` divided by another
+    to a copy of the list, cut to the entries still needed: the (1 - x^0)
+    factors meet only in the count, and every other factor is a unit, so
+    dividing one back out is exact.  ``times_rest`` adds the infinite tails
+    and the series of a ``FactorProduct``.  ``a`` is None once a factor
+    annihilated the product.
+    """
+
+    __slots__ = ("a", "D", "top", "scalar", "shift", "zeros")
+
+    def __init__(self, a, D=1, top=0, scalar=Fraction(1), shift=0, zeros=0):
+        self.a = a
+        self.D = D
+        self.top = top
+        self.scalar = scalar
+        self.shift = shift
+        self.zeros = zeros
+
+    @staticmethod
+    def one(n):
+        """1, listed to n entries."""
+        a = [0] * max(n, 0)
+        if a:
+            a[0] = 1
+        return PartialProduct(a)
+
+    def times_ratio(self, fp: FactorProduct, over: FactorProduct | None, n):
+        """self times the monomial and the finite factors of fp / over (over
+        None: of fp), its list cut to n entries."""
+        if self.a is None or fp.annihilated:
+            return PartialProduct(None)
+        num, den, coeff, halves = fp.num, fp.den, fp.coeff, fp.halves
+        if over is not None:
+            num, den = num + over.den, den + over.num
+            coeff, halves = coeff / over.coeff, halves - over.halves
+        num, den = _cancel(num, den)
+        scalar, shift, steps, zeros = _steps(num.elements(), den.elements(), coeff, halves)
+        a = self.a[:max(n, 0)]
+        D, top = _apply(a, self.D, min(self.top, len(a) - 1), steps)
+        return PartialProduct(a, D, top, self.scalar * scalar, self.shift + shift,
+                              self.zeros + zeros)
+
+    def times_rest(self, fp: FactorProduct, n, cutoff=INF):
+        """self times the infinite tails and the series of fp, its list cut
+        to at most n entries and to none at or above ``cutoff``."""
+        if self.a is None or INF in (s.val() for s in fp.extras):
+            return PartialProduct(None)
+        ev = sum(s.val() for s in fp.extras)
+        n = max(0, min(n, len(self.a), cutoff - self.shift - ev))
+        steps = [(p, d, h, inv) for tail, base, inv in fp.infs
+                 for p, d, h, _ in _steps(_poch_monos(tail, INF, base, n)[0], ())[2]]
+        a = self.a[:n]
+        D, top = _apply(a, self.D, min(self.top, n - 1), steps)
+        out = PartialProduct(a, D, top, self.scalar, self.shift, self.zeros)
+        for s in fp.extras:
+            out = out.times_series(s)
+        return out
+
+    def times_series(self, s: Series, cutoff=INF):
+        """self * s, as far as both are exact and below ``cutoff``."""
+        if self.a is None or not s.terms and s.cutoff == INF:
+            return PartialProduct(None)
+        v = s.val()
+        shift = self.shift + v
+        n = max(0, min(len(self.a), s.cutoff - v, cutoff - shift))
+        b, Db = _ints(s, v, n)
+        a = self.a
+        top = min(self.top, n - 1)
+        out = [0] * n
+        for k, x in b:
+            for e in range(k, min(n, top + k + 1)):
+                out[e] += x * a[e - k]
+        top = min(top + max((k for k, _ in b), default=0), n - 1)
+        return PartialProduct(out, self.D * Db, top, self.scalar, shift, self.zeros)
+
+    def series(self, cutoff) -> Series:
+        """The product as a series, exact below min(cutoff, shift + len(a));
+        the zero series once annihilated or with an uncancelled (1 - x^0)."""
+        if self.a is None or self.zeros > 0:
+            return Series.zero()
+        if self.zeros < 0:
+            raise PoleError("uncancelled vanishing denominator factor")
+        return _build(self.a, self.D, self.scalar, self.shift,
+                      min(cutoff, self.shift + len(self.a)))
+
+
+def _mono_coeff(c: Fraction):
+    """A factor's coefficient, as an int when it is one: the multisets hash
+    and compare their monomials, which is much cheaper on ints."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _poch_monos(a: QParam, k, base: int, bound=None):
@@ -187,9 +335,10 @@ def _poch_monos(a: QParam, k, base: int, bound=None):
         raise BadParam("infinite parameter inside a Pochhammer symbol")
     if k == INF:
         k = max(0, -((a.halves - max(bound, 1)) // base))
+    c = _mono_coeff(a.coeff)
     if k >= 0:
-        return [(a.coeff, a.halves + j * base) for j in range(k)], []
-    return [], [(a.coeff, a.halves - l * base) for l in range(1, -k + 1)]
+        return [(c, a.halves + j * base) for j in range(k)], []
+    return [], [(c, a.halves - l * base) for l in range(1, -k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +524,9 @@ def _factors_series(num_key, den_key, cutoff, coeff, halves):
 
 
 def _cancel(num: Counter, den: Counter):
-    """Remove the factors common to the two multisets."""
+    """The two multisets without the factors common to them, as new multisets."""
+    if not (num and den):
+        return Counter(num), Counter(den)
     common = num & den
     return num - common, den - common
 
@@ -405,10 +556,12 @@ class FactorProduct:
     at most one of them a truncated series) and the optional ``seed`` (such
     as a sequence value) into one seed series with ``Series.__mul__``, lists
     each tail up to the exponent the cutoff needs, and applies every factor
-    and the monomial to that seed in one ``_expand`` call.
+    and the monomial to that seed in one ``_expand`` call.  The cancelled
+    multisets are computed once and kept until the next ``times*`` call.
     """
 
-    __slots__ = ("coeff", "halves", "num", "den", "extras", "infs", "annihilated")
+    __slots__ = ("coeff", "halves", "num", "den", "extras", "infs", "annihilated",
+                 "_memo")
 
     def __init__(self):
         self.coeff = Fraction(1)
@@ -418,6 +571,7 @@ class FactorProduct:
         self.extras = []
         self.infs = []
         self.annihilated = False
+        self._memo = None
 
     def copy(self):
         fp = FactorProduct()
@@ -428,10 +582,12 @@ class FactorProduct:
         fp.extras = list(self.extras)
         fp.infs = list(self.infs)
         fp.annihilated = self.annihilated
+        fp._memo = self._memo
         return fp
 
     def times(self, other: FactorProduct):
         """Multiply by another FactorProduct, merging every field."""
+        self._memo = None
         self.coeff *= other.coeff
         self.halves += other.halves
         self.num.update(other.num)
@@ -442,6 +598,7 @@ class FactorProduct:
         return self
 
     def times_scalar(self, c):
+        self._memo = None
         c = Fraction(c)
         if c == 0:
             self.annihilated = True
@@ -450,10 +607,12 @@ class FactorProduct:
         return self
 
     def times_qpow(self, halves: int):
+        self._memo = None
         self.halves += halves
         return self
 
     def times_param_pow(self, p: QParam, n: int):
+        self._memo = None
         if p.is_zero:
             if n > 0:
                 self.annihilated = True
@@ -469,16 +628,18 @@ class FactorProduct:
 
     def times_factor(self, p: QParam, offset_halves: int = 0, den: bool = False):
         """Multiply by (1 - p q^(offset/2)) or its reciprocal."""
+        self._memo = None
         if p.is_zero:
             return self
         if not p.is_finite:
             raise BadParam("factor with infinite parameter")
-        mono = (p.coeff, p.halves + offset_halves)
+        mono = (_mono_coeff(p.coeff), p.halves + offset_halves)
         (self.den if den else self.num)[mono] += 1
         return self
 
     def times_poch(self, p: QParam, k, base: int = 2, den: bool = False):
         """Multiply by (p;q^base)_k (or its reciprocal when den=True); k may be INF."""
+        self._memo = None
         if k == INF:
             if p.is_zero:
                 return self
@@ -493,12 +654,19 @@ class FactorProduct:
         return self
 
     def times_series(self, s: Series):
+        self._memo = None
         self.extras.append(s)
         return self
 
     def _ratio(self):
         """The cancelled (num, den) multisets and the valuation of the
-        monomial times their ratio (INF when the product is zero)."""
+        monomial times their ratio (INF when the product is zero).  The
+        multisets are shared with later calls: callers do not change them."""
+        if self._memo is None:
+            self._memo = self._cancelled()
+        return self._memo
+
+    def _cancelled(self):
         if self.annihilated:
             return None, None, INF
         num, den = _cancel(self.num, self.den)
@@ -539,6 +707,7 @@ class FactorProduct:
             # Every unlisted tail factor is (1 - c x^h) with h >= bound, so the
             # omitted part is 1 + O(x^bound): the product stays exact below cutoff.
             bound = cutoff - v - (0 if seed is None else seed.val())
+            num, den = Counter(num), Counter(den)
             for p, base, inv in self.infs:
                 (den if inv else num).update(_poch_monos(p, INF, base, bound)[0])
         if seed is None:

@@ -240,6 +240,21 @@ class Series:
         return Series({int(e): Fraction(c) for e, c in obj["terms"]}, cutoff)
 
 
+def sum_series(terms, cutoff=INF) -> Series:
+    """The sum of the series ``terms``, exact below the least of ``cutoff``
+    and their cutoffs.
+
+    The coefficients are added into one dict and normalised once, at the
+    end, instead of copying a running sum for every term.
+    """
+    out = {}
+    for t in terms:
+        cutoff = min(cutoff, t.cutoff)
+        for e, c in t.terms.items():
+            out[e] = out.get(e, 0) + c
+    return Series(out, cutoff)
+
+
 def first_diff(a: Series, b: Series, upto=None):
     """First exponent below min(cutoffs, upto) where a and b differ.
 
@@ -301,7 +316,7 @@ def truncated_sum(start, step, last, at, cutoff, label):
     terms raise ``TruncationUnreachable(label)``.  The result is not
     truncated; each term carries its own cutoff.
     """
-    out = Series.zero()
+    terms = []
     cap = 10 * max(cutoff, 1) + 200
     streak = 0
     steps = 0
@@ -319,6 +334,6 @@ def truncated_sum(start, step, last, at, cutoff, label):
                 break
         else:
             streak = 0
-            out = out + build()
+            terms.append(build())
         j += step
-    return out
+    return sum_series(terms)

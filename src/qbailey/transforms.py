@@ -27,15 +27,13 @@ from .errors import BadParam, TruncationUnreachable, UnsupportedLimit
 from .qparams import Q, QParam
 from .qfunctions import FactorProduct, esym, fp_pp, qbinom, sign
 from .pairs import BaileyPair, BilateralSequence
-from .series import INF, Series
+from .series import INF, Series, sum_series
 
 
 def _combine(plans, cutoff) -> Series:
     """Sum of fp * seq(k) over (fp, seq, k) plans, exact below cutoff."""
-    out = Series.zero()
-    for fp, seq, k in plans:
-        out = out + fp.series_times(lambda c: seq(k, c), cutoff, seq.val_bound(k))
-    return out.truncate(cutoff)
+    return sum_series((fp.series_times(lambda c: seq(k, c), cutoff, seq.val_bound(k))
+                       for fp, seq, k in plans), cutoff)
 
 
 def _plans_vb(plans):

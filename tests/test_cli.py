@@ -206,3 +206,19 @@ def test_deep_lambda1_report_digest():
     body = {k: v for k, v in json.loads(r.stdout).items() if k != "runtime_ms"}
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     assert digest == "b848c2dbed138c7a08105118eabf813e45b1a56970de89de7de9a3a6dd7938d6"
+
+
+def test_lattice_inner_parameter_spellings():
+    args = ["--format", "json", "verify", "--identity", "lattice3", "--r", "3", "--i", "2",
+            "--cutoff", "20", "--param", "a=2*q^(2/2)", "--param", "rho1=3*q^(1/2)",
+            "--param", "rho=5/2*q^(2/2)", "--param", "sigma=3/2*q^(1/2)"]
+    reports = []
+    for inner in (["rhos1=-2*q^(1/2)", "sigmas1=5*q^(2/2)"],
+                  ["rhos1=-2*q^(1/2)", "sigma1=5*q^(2/2)"]):
+        r = run(*args, *(x for p in inner for x in ("--param", p)))
+        assert r.returncode == 0, r.stderr
+        reports.append({k: v for k, v in json.loads(r.stdout).items() if k != "runtime_ms"})
+    assert reports[0] == reports[1]
+    r = run(*args, "--param", "rho2=-2*q^(1/2)", "--param", "sigma2=5*q^(2/2)")
+    assert r.returncode == 2
+    assert "rhos1, rhos2" in r.stderr and "sigmas1, sigmas2" in r.stderr
