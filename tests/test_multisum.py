@@ -145,6 +145,11 @@ def _build(depth, lb, last_upper, final, seed_terms, data):
             for c, h0, k, base, den in nxt["tails"]:
                 v, _ = poch_val(QParam.finite(c, h0 + k * s), INF, base)
                 e += -v if den else v
+        if d == depth and final and s < 0:
+            # 1/(x^f; x^f)_s = (x^(f + f s); x^f)_(-s): zero through its last
+            # factor (1 - x^0), but a pole on the chain may cancel that one,
+            # leaving the others' negative exponents
+            e += sum(range(final * (s + 1), 0, final))
         if d == depth and seed_terms:
             e += min(seed_terms) + 2 * s
         return e
