@@ -40,13 +40,24 @@ def _parse_params(pairs):
     return out
 
 
+def _int(value, what):
+    """An int, or a string that spells one, as an int; BadParam otherwise."""
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise BadParam(f"{what} must be an integer, got {value!r}")
+
+
 def _coerce_identity_params(name, raw):
+    if not isinstance(name, str) or name not in CATALOG:
+        raise UnknownIdentity(f"unknown identity {name!r}")
     desc = CATALOG[name]
     params = {}
     for key in desc.int_params:
         if key not in raw:
             raise BadParam(f"{name} needs --param {key}=<int>")
-        params[key] = int(raw.pop(key))
+        params[key] = _int(raw.pop(key), f"{name} parameter {key}")
     for key in desc.qparam_params:
         if key not in raw:
             raise BadParam(f"{name} needs --param {key}=<qparam>")
@@ -140,25 +151,38 @@ def cmd_transform_check(args) -> int:
     return EXIT_PASS if payload["passed"] else EXIT_MISMATCH
 
 
+def _entry_int(entry, key, default=None):
+    """The batch entry's integer ``key``; ``default`` when it is absent."""
+    if key not in entry and default is not None:
+        return default
+    return _int(entry.get(key), f"the entry's {key!r}")
+
+
 def run_entry(entry: dict) -> dict:
     """Execute one batch entry (a verify or transform-check config)."""
-    cmd = entry.get("command")
     t0 = time.perf_counter()
     try:
+        if not isinstance(entry, dict):
+            raise BadParam(f"a batch entry must be a JSON object, got {entry!r}")
+        cmd = entry.get("command")
         if cmd == "verify":
-            raw = {k: str(v) for k, v in entry.get("params", {}).items()}
-            params = _coerce_identity_params(entry["identity"], raw)
-            rep = evaluate_identity(entry["identity"], params, int(entry["cutoff"]))
+            name, params = entry.get("identity"), entry.get("params", {})
+            if not isinstance(params, dict):
+                raise BadParam(f"the entry's 'params' must be an object, got {params!r}")
+            params = _coerce_identity_params(name, {k: str(v) for k, v in params.items()})
+            rep = evaluate_identity(name, params, _entry_int(entry, "cutoff"))
             if entry.get("inject_fault") is not None:
-                _inject_fault(rep, int(entry["inject_fault"]))
+                _inject_fault(rep, _entry_int(entry, "inject_fault"))
             out = rep.to_json()
         elif cmd == "transform-check":
-            out = transform_check(entry["transform"], trials=int(entry.get("trials", 3)),
-                                  seed=int(entry.get("seed", 0)),
-                                  cutoff=int(entry.get("cutoff", 40)))
+            name = entry.get("transform")
+            if not isinstance(name, str) or name not in REGISTRY:
+                raise BadParam(f"unknown transform {name!r}")
+            out = transform_check(name, trials=_entry_int(entry, "trials", 3),
+                                  seed=_entry_int(entry, "seed", 0),
+                                  cutoff=_entry_int(entry, "cutoff", 40))
         else:
-            return {"entry": entry, "passed": False,
-                    "error": f"unknown command {cmd!r}", "usage_error": True}
+            raise BadParam(f"unknown command {cmd!r}")
     except (BadParam, UnknownIdentity) as e:
         return {"entry": entry, "passed": False, "error": str(e), "usage_error": True}
     except QBaileyError as e:

@@ -34,37 +34,50 @@ sizes leave their leaves exact below less than the cutoff, and the sum
 reports the shorter cutoff instead of a wrong coefficient.  (The pruning
 itself still trusts ``gmin``, a minimum over a sampled window.)
 
-Each emitted chain goes through ``term(chain, leaf)``, which builds its
-series from the leaf list and checks the chain's floor against it.
+Each emitted chain goes through the hook ``term(chain, leaf)``, whose
+result the walk adds to one ``qfunctions.DenseSum``: the leaves' lists go
+to one common denominator with one integer multiply per entry, and each
+coefficient of the sum is reduced once, at the end.  No leaf is built as a
+``Series``.  The default hook, ``checked_leaf``, returns the ``Leaf`` itself
+once none of its entries lies below the chain's floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import isqrt
 
 from .errors import CertificateViolation, TruncationUnreachable
-from .qfunctions import PartialProduct
-from .series import INF, Series, sum_series
+from .qfunctions import DenseSum, PartialProduct
+from .series import INF, Series
 
 
 @dataclass
 class Leaf:
-    """An emitted chain's partial product, the cutoff and the chain's floor."""
+    """An emitted chain's partial product, exact below ``cutoff``, and the
+    chain's floor.  ``terms`` builds the chain's series terms; the walk
+    itself never reads them."""
     part: PartialProduct
     cutoff: object
     floor: object
 
+    @property
+    def terms(self):
+        return self.part.series(self.cutoff).terms
 
-def leaf_series(chain, leaf: Leaf) -> Series:
-    """The chain's term, exact below the cutoff; raises CertificateViolation
-    when it has a coefficient below the chain's floor."""
-    t = leaf.part.series(leaf.cutoff)
-    if t.terms and min(t.terms) < leaf.floor:
-        raise CertificateViolation(
-            f"multisum floor {leaf.floor} exceeds term valuation {t.val()} at {chain}")
-    return t
+
+def checked_leaf(chain, leaf: Leaf) -> Leaf:
+    """The leaf, once no coefficient below its cutoff lies below the chain's
+    floor; raises CertificateViolation otherwise (and PoleError on a pole)."""
+    part = leaf.part
+    if part.live():
+        below = islice(part.a, max(0, min(leaf.floor, leaf.cutoff) - part.shift))
+        low = next((e for e, x in enumerate(below) if x), None)
+        if low is not None:
+            raise CertificateViolation(f"multisum floor {leaf.floor} exceeds term "
+                                       f"valuation {part.shift + low} at {chain}")
+    return leaf
 
 
 @dataclass
@@ -75,7 +88,7 @@ class MultisumSpec:
     level_floor: object   # (d, s) -> halves, certified lower bound
     last_upper: int | None = None
     seed: object = None   # sequence: seed(s, c) exact below c, seed.val_bound(s)
-    term: object = leaf_series  # (chain, Leaf) -> Series, the emission hook
+    term: object = checked_leaf  # (chain, Leaf) -> Leaf, the emission hook
 
     def val_floor(self, chain):
         return sum(self.level_floor(d + 1, s) for d, s in enumerate(chain))
@@ -92,7 +105,7 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
         lo = min(spec.level_floor(d, s) for s in range(lb, lb + span + 1))
         gmin[d] = min(lo, 0) + gmin[d + 1] if lo != INF else gmin[d + 1]
 
-    terms = []
+    total = DenseSum(cutoff)
     chain = []
 
     def visit(d, prev, sibs, parent):
@@ -129,7 +142,9 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
                 part = PartialProduct(None)
             elif not part.zeros:
                 part = part.times_series(seed(s, cutoff - part.shift), cutoff)
-        terms.append(spec.term(tuple(chain), Leaf(part, cutoff, spec.val_floor(chain))))
+        cut = cutoff if part.a is None else min(cutoff, part.shift + len(part.a))
+        leaf = spec.term(tuple(chain), Leaf(part, cut, spec.val_floor(chain)))
+        total.add(leaf.part, leaf.cutoff)
 
     def rec(d, prev, acc, parent):
         sibs = []
@@ -159,4 +174,4 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
             visit(d, prev, sibs, parent)
 
     rec(1, None, 0, None)
-    return sum_series(terms, cutoff)
+    return total.series()

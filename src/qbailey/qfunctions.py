@@ -39,7 +39,11 @@ one dense kernel in three phases:
 ``FactorProduct`` multiplies: a sequence value, a bracket polynomial).
 ``PartialProduct`` keeps the list, its denominator, scalar, shift and
 (1 - x^0) count between passes, so that a multisum walk applies each level's
-factors once to a list its chains share (see ``multisum``).  Sparse
+factors once to a list its chains share (see ``multisum``).  ``DenseSum``
+adds such results (``_kernel`` hands them out without phase 3) into one int
+list over one common denominator, one integer multiply per entry, and
+reduces each coefficient of the sum once: the multisum's leaves and the
+terms of a transformed sequence are summed this way.  Sparse
 ``Series`` multiplication stays for products of general series; the kernel
 is checked against it, ``Series.invert`` and ``oracle.py``.
 """
@@ -50,6 +54,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 
 from .errors import BadParam, InvertZero, NegativeN, PoleError, TruncationUnreachable
 from .qparams import QParam
@@ -183,6 +188,32 @@ def _ints(s: Series, v, n):
     return [(e, x.numerator * (D // x.denominator)) for e, x in start], D
 
 
+def _kernel(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
+    """Phases 1 and 2 of ``_expand``: the product as (PartialProduct, c), exact
+    below c.  A zero product is an empty list, exact below c."""
+    cutoff = INF if cutoff is None else cutoff
+    exact = cutoff == INF and seed.cutoff == INF
+    scalar, shift, steps, zeros = _steps(num, den, coeff, halves)
+    if zeros < 0:
+        raise PoleError("uncancelled vanishing denominator factor")
+    if exact and any(inv for *_, inv in steps):
+        raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
+    cutoff = min(cutoff, seed.cutoff + shift)
+    if zeros or scalar == 0 or not seed.terms:
+        return PartialProduct([]), cutoff
+    v = min(seed.terms)
+    top = max(seed.terms) - v  # a[e] == 0 for every e > top
+    n = top + sum(h for _, _, h, _ in steps) + 1 if exact else cutoff - shift - v
+    if n <= 0:
+        return PartialProduct([]), cutoff
+    start, D = _ints(seed, v, n)
+    a = [0] * n
+    for e, x in start:
+        a[e] = x
+    D, top = _apply(a, D, min(top, n - 1), steps)
+    return PartialProduct(a, D, top, scalar, v + shift), cutoff
+
+
 def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
     """coeff * x^halves * ``seed`` * prod(1 - c x^h) over ``num`` / prod(1 - c x^h)
     over ``den``.
@@ -199,35 +230,19 @@ def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
     three phases: ``_steps`` normalises the factors, ``_apply`` applies them
     in place to one dense list of ints over one common denominator (the
     seed's coefficients over the lcm of their denominators), and ``_build``
-    reduces each coefficient once into the result.  ``PartialProduct``
-    carries the same list between passes.
+    reduces each coefficient once into the result.  ``_kernel`` runs the
+    first two and hands back the list as a ``PartialProduct``, which a
+    ``DenseSum`` can add without building it.
     """
-    cutoff = INF if cutoff is None else cutoff
-    exact = cutoff == INF and seed.cutoff == INF
-    scalar, shift, steps, zeros = _steps(num, den, coeff, halves)
-    if zeros < 0:
-        raise PoleError("uncancelled vanishing denominator factor")
-    if exact and any(inv for *_, inv in steps):
-        raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
-    cutoff = min(cutoff, seed.cutoff + shift)
-    if zeros or scalar == 0 or not seed.terms:
-        return Series.zero(cutoff)
-    v = min(seed.terms)
-    top = max(seed.terms) - v  # a[e] == 0 for every e > top
-    n = top + sum(h for _, _, h, _ in steps) + 1 if exact else cutoff - shift - v
-    if n <= 0:
-        return Series.zero(cutoff)
-    start, D = _ints(seed, v, n)
-    a = [0] * n
-    for e, x in start:
-        a[e] = x
-    D, _ = _apply(a, D, min(top, n - 1), steps)
-    return _build(a, D, scalar, v + shift, cutoff)
+    part, cutoff = _kernel(num, den, cutoff, seed, coeff, halves)
+    return part.series(cutoff)
 
 
 class PartialProduct:
     """The dense kernel's state between passes: scalar / D * x^shift *
-    sum a[e] x^e, exact below shift + len(a), times (1 - x^0)^zeros.
+    sum a[e] x^e, times (1 - x^0)^zeros.  In a multisum walk it is exact
+    below shift + len(a); ``_kernel`` states its own cutoff, past the list
+    when the rest is known to be zero (an exact polynomial).
 
     A multisum walk carries one per level.  ``times_ratio`` applies the
     monomial and finite factors of one ``FactorProduct`` divided by another
@@ -305,15 +320,76 @@ class PartialProduct:
         top = min(top + max((k for k, _ in b), default=0), n - 1)
         return PartialProduct(out, self.D * Db, top, self.scalar, shift, self.zeros)
 
-    def series(self, cutoff) -> Series:
-        """The product as a series, exact below min(cutoff, shift + len(a));
-        the zero series once annihilated or with an uncancelled (1 - x^0)."""
+    def live(self):
+        """False when the product is zero (annihilated, or an uncancelled
+        (1 - x^0)); raises PoleError on an uncancelled pole."""
         if self.a is None or self.zeros > 0:
-            return Series.zero()
+            return False
         if self.zeros < 0:
             raise PoleError("uncancelled vanishing denominator factor")
-        return _build(self.a, self.D, self.scalar, self.shift,
-                      min(cutoff, self.shift + len(self.a)))
+        return True
+
+    def series(self, cutoff) -> Series:
+        """The product as a series exact below ``cutoff``, which the list must
+        cover; the zero series when it is zero."""
+        if not self.live():
+            return Series.zero()
+        return _build(self.a, self.D, self.scalar, self.shift, cutoff)
+
+
+class DenseSum:
+    """A sum of kernel results as one dense list of ints over one common
+    denominator: sum a[e] x^(base + e) / D, exact below ``cutoff``.
+
+    ``add`` brings each ``PartialProduct`` to the common denominator with one
+    integer multiply per entry and adds it in place; ``series`` reduces each
+    coefficient once.  No coefficient becomes a ``Fraction`` before the end.
+    """
+
+    __slots__ = ("a", "base", "D", "cutoff")
+
+    def __init__(self, cutoff):
+        self.a = []
+        self.base = 0
+        self.D = 1
+        self.cutoff = cutoff
+
+    def add(self, part: PartialProduct, cutoff):
+        """Add ``part``, exact below ``cutoff`` (entries past its list are
+        zero there); the sum's cutoff falls to it.  A zero product adds
+        nothing and leaves the cutoff alone; a pole raises PoleError."""
+        if not part.live():
+            return
+        self.cutoff = c = min(self.cutoff, cutoff)
+        acc = self.a
+        if c != INF and len(acc) > c - self.base:
+            del acc[max(0, c - self.base):]
+        src = part.a
+        n = min(part.top + 1, len(src), c - part.shift)
+        if n <= 0:
+            return
+        scalar = part.scalar / part.D
+        p, d = scalar.numerator, scalar.denominator
+        D = lcm(self.D, d)
+        if D != self.D:
+            acc[:] = map((D // self.D).__mul__, acc)
+            self.D = D
+        if d != D:
+            p *= D // d
+        if not acc:
+            self.base = part.shift
+        elif part.shift < self.base:
+            acc[:0] = [0] * (self.base - part.shift)
+            self.base = part.shift
+        lo = part.shift - self.base
+        hi = lo + n
+        if len(acc) < hi:
+            acc.extend([0] * (hi - len(acc)))
+        acc[lo:hi] = map(add, acc[lo:hi], src if p == 1 else map(p.__mul__, src))
+
+    def series(self) -> Series:
+        """The sum, exact below its cutoff; each coefficient is reduced once."""
+        return _build(self.a, self.D, Fraction(1), self.base, self.cutoff)
 
 
 def _mono_coeff(c: Fraction):
@@ -693,12 +769,37 @@ class FactorProduct:
             return Series.zero(cutoff)
         return self.series(cutoff, build(cutoff - v))
 
+    def part_times(self, build, cutoff, floor=0):
+        """``series_times`` as the kernel's state, (PartialProduct, c) exact
+        below c, for a ``DenseSum``."""
+        v = self.val_bound()
+        if v + floor >= cutoff:
+            return PartialProduct([]), cutoff
+        got = self._seeded(cutoff, build(cutoff - v))
+        if got is None:
+            return PartialProduct(None), INF
+        num, den, seed = got
+        return _kernel(num.elements(), den.elements(), cutoff, seed, self.coeff, self.halves)
+
     def series(self, cutoff, seed=None) -> Series:
         """This product times ``seed`` (default 1), exact below the cutoff
         wherever the seed is exact below cutoff - val_bound()."""
+        got = self._seeded(cutoff, seed)
+        if got is None:
+            return Series.zero()
+        num, den, seed = got
+        if seed is None:
+            return _factors_series(tuple(sorted(num.items())), tuple(sorted(den.items())),
+                                   cutoff, self.coeff, self.halves)
+        return _expand(num.elements(), den.elements(), cutoff, seed, self.coeff, self.halves)
+
+    def _seeded(self, cutoff, seed):
+        """The kernel's input: the cancelled multisets with the tails listed
+        as far as the cutoff needs, and the seed times the ``extras``; None
+        when the product is zero."""
         num, den, v = self._ratio()
         if v == INF:
-            return Series.zero()
+            return None
         for s in self.extras:
             seed = s if seed is None else seed * s
         if self.infs:
@@ -710,7 +811,4 @@ class FactorProduct:
             num, den = Counter(num), Counter(den)
             for p, base, inv in self.infs:
                 (den if inv else num).update(_poch_monos(p, INF, base, bound)[0])
-        if seed is None:
-            return _factors_series(tuple(sorted(num.items())), tuple(sorted(den.items())),
-                                   cutoff, self.coeff, self.halves)
-        return _expand(num.elements(), den.elements(), cutoff, seed, self.coeff, self.halves)
+        return num, den, seed

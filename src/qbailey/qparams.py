@@ -167,7 +167,10 @@ def parse_qparam(text: str) -> QParam:
         if not has_q:
             raise BadParam(f"cannot parse parameter {text!r}")
     else:
-        coeff = Fraction(craw)
+        try:
+            coeff = Fraction(craw)
+        except (ValueError, ZeroDivisionError):
+            raise BadParam(f"cannot parse parameter {text!r}: bad coefficient") from None
     halves = 0
     if has_q:
         eraw = m.group("exp")

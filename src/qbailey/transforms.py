@@ -25,15 +25,18 @@ from math import isqrt
 
 from .errors import BadParam, TruncationUnreachable, UnsupportedLimit
 from .qparams import Q, QParam
-from .qfunctions import FactorProduct, esym, fp_pp, qbinom, sign
+from .qfunctions import DenseSum, FactorProduct, esym, fp_pp, qbinom, sign
 from .pairs import BaileyPair, BilateralSequence
-from .series import INF, Series, sum_series
+from .series import INF, Series
 
 
 def _combine(plans, cutoff) -> Series:
-    """Sum of fp * seq(k) over (fp, seq, k) plans, exact below cutoff."""
-    return sum_series((fp.series_times(lambda c: seq(k, c), cutoff, seq.val_bound(k))
-                       for fp, seq, k in plans), cutoff)
+    """Sum of fp * seq(k) over (fp, seq, k) plans, exact below cutoff: each
+    term is added to one ``DenseSum`` as the kernel left it."""
+    total = DenseSum(cutoff)
+    for fp, seq, k in plans:
+        total.add(*fp.part_times(lambda c: seq(k, c), cutoff, seq.val_bound(k)))
+    return total.series()
 
 
 def _plans_vb(plans):

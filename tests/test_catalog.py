@@ -1,5 +1,7 @@
 """Identity catalog: reductions, cross-checks, and dual derivation routes."""
 
+from fractions import Fraction
+
 import pytest
 
 from qbailey.errors import BadParam, UnknownIdentity
@@ -252,6 +254,16 @@ def test_lambda1_early_stop_reproducers(r, i, cutoff, a_halves):
     inf = QParam.infinity()
     both("lambda1", {"r": r, "i": i, "a": fin(3, a_halves), "b1": inf,
                      "c1": inf, "c2": inf}, cutoff)
+
+
+@pytest.mark.xfail(strict=True, reason="the master j-sum stops after four skipped "
+                   "terms (a heuristic); a later term below the cutoff is lost")
+def test_newlattice3_early_stop_reproducer():
+    # reported FAIL at x^3: LHS -8/3^11, RHS 0
+    both("newlattice3", {"r": 3, "i": 2, "a": fin(Fraction(1, 2), -17),
+                         "rho1": fin(3, -1), "rhos": [fin(Fraction(1, 2), 0)],
+                         "rho": fin(-1, -2), "sigma": fin(-1, -2),
+                         "sigmas": [fin(-1, -1)]}, 33)
 
 
 def test_identity_names_exposed():

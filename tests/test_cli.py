@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "qbailey.cli"]
 
 
@@ -222,3 +224,37 @@ def test_lattice_inner_parameter_spellings():
     r = run(*args, "--param", "rho2=-2*q^(1/2)", "--param", "sigma2=5*q^(2/2)")
     assert r.returncode == 2
     assert "rhos1, rhos2" in r.stderr and "sigmas1, sigmas2" in r.stderr
+
+
+_ZERO_DENOMINATOR = {"r": 2, "i": 1, "a": "1/0", "b1": "inf", "c1": "inf", "c2": "inf"}
+
+
+def test_zero_denominator_parameter_exits_two():
+    r = run("verify", "--identity", "lambda1", "--r", "2", "--i", "1", "--cutoff", "10",
+            *(x for k in ("a", "b1", "c1", "c2")
+              for x in ("--param", f"{k}={_ZERO_DENOMINATOR[k]}")))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr and "1/0" in r.stderr
+
+
+@pytest.mark.parametrize("entry", [
+    {"command": "verify", "identity": "lambda1", "params": _ZERO_DENOMINATOR, "cutoff": 10},
+    {"command": "verify", "identity": "rr", "params": {"i": 0}},
+    {"command": "verify", "identity": "rr", "params": {"i": 0}, "cutoff": "abc"},
+    {"command": "verify", "identity": "rr", "params": {"i": "abc"}, "cutoff": 10},
+    {"command": "verify", "identity": "rr", "params": [0], "cutoff": 10},
+    {"command": "verify", "identity": "nope", "cutoff": 10},
+    {"command": "transform-check", "transform": "key2", "trials": "abc"},
+    {"command": "transform-check", "transform": "nope"},
+    [3],
+], ids=["zero-denominator", "no-cutoff", "text-cutoff", "text-int-param",
+        "params-not-object", "unknown-identity", "text-trials", "unknown-transform",
+        "not-an-object"])
+def test_malformed_batch_entry_exits_two(tmp_path, entry):
+    f = tmp_path / "batch.json"
+    f.write_text(json.dumps([entry]))
+    r = run("--format", "json", "batch", "--file", str(f))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    result, = json.loads(r.stdout)["results"]
+    assert result["usage_error"] and result["entry"] == entry

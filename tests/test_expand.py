@@ -9,9 +9,10 @@ import pytest
 from qbailey import cli
 from qbailey.errors import InvertZero, PoleError
 from qbailey.oracle import DenseSeries, dense_invert, dense_mul
-from qbailey.qfunctions import FactorProduct, _expand, poch, poch_recip, poch_val
+from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, _expand, _kernel,
+                               poch, poch_recip, poch_val)
 from qbailey.qparams import QParam
-from qbailey.series import INF, Series, product_at
+from qbailey.series import INF, Series, product_at, sum_series
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 monos = st.tuples(coeffs, st.integers(-8, 12)).filter(lambda m: m != (1, 0))
@@ -293,3 +294,73 @@ def test_a_scaled_factor_product_matches_a_product_at_reference(scalar, halves, 
     want = product_at(cutoff, parts)
     assert got.cutoff == want.cutoff
     assert got.terms == want.terms
+
+
+# ---------------------------------------------------------------------------
+# DenseSum against sum_series over the same kernel results built as Series
+# ---------------------------------------------------------------------------
+
+@st.composite
+def partial_products(draw):
+    """A kernel result (PartialProduct, c), exact below c: a random list with
+    its own scalar, denominator and shift, or annihilated, or with a
+    (1 - x^0) count of either sign."""
+    kind = draw(st.sampled_from(["list"] * 6 + ["annihilated", "zero", "pole"]))
+    if kind == "annihilated":
+        return PartialProduct(None), draw(st.one_of(st.just(INF), st.integers(-10, 30)))
+    a = draw(st.lists(st.integers(-40, 40), max_size=12))
+    top = draw(st.integers(-1, len(a) - 1)) if a else -1
+    a[top + 1:] = [0] * (len(a) - top - 1)  # a[e] == 0 for every e > top
+    part = PartialProduct(a, draw(st.integers(1, 36)), top, draw(coeffs),
+                          draw(st.integers(-15, 15)),
+                          {"list": 0, "zero": 1, "pole": -1}[kind])
+    # exact below shift + len(a), as in a multisum walk, below less, or past
+    # the list where its remaining entries are zero
+    cut = draw(st.one_of(st.just(part.shift + len(a)), st.just(INF),
+                         st.integers(part.shift - 2, part.shift + len(a) + 3)))
+    return part, cut
+
+
+@st.composite
+def kernel_results(draw):
+    """What ``_kernel`` hands back for random factors and seeds."""
+    num, den, seed = draw(multisets), draw(multisets), draw(seeds())
+    cutoff = draw(st.integers(-20, 40))
+    try:
+        return _kernel(_flat(num), _flat(den), cutoff, seed)
+    except PoleError:
+        return PartialProduct([], zeros=-1), cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(partial_products(), kernel_results()), max_size=6),
+       st.one_of(st.just(INF), st.integers(-10, 30)))
+def test_dense_sum_equals_the_sum_of_the_built_series(parts, cutoff):
+    total = DenseSum(cutoff)
+    if any(p.a is not None and p.zeros < 0 for p, _ in parts):
+        with pytest.raises(PoleError):
+            for p, c in parts:
+                total.add(p, c)
+        with pytest.raises(PoleError):
+            [p.series(c) for p, c in parts]
+        return
+    for p, c in parts:
+        total.add(p, c)
+    got = total.series()
+    # a built Series keeps no term at or past its cutoff
+    want = sum_series([Series(s.terms, s.cutoff) for s in (p.series(c) for p, c in parts)],
+                      cutoff)
+    assert got.cutoff == want.cutoff
+    assert got.terms == want.terms
+    for c in got.terms.values():
+        assert type(c) is int or Fraction(c).denominator != 1
+
+
+def test_dense_sum_of_nothing_keeps_its_cutoff():
+    total = DenseSum(17)
+    total.add(PartialProduct(None), 5)         # annihilated
+    total.add(PartialProduct([1, 2], zeros=1), 5)  # a (1 - x^0) factor
+    got = total.series()
+    assert got.cutoff == 17 and not got.terms
+    total.add(PartialProduct([]), 9)  # zero, known only below x^9
+    assert total.series().cutoff == 9

@@ -1,11 +1,12 @@
 """The nested-sum evaluator: its seeded walk against a per-chain reference."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbailey.errors import PoleError
+from qbailey.errors import CertificateViolation, PoleError
 from qbailey.multisum import MultisumSpec, multisum_eval
 from qbailey.qparams import QParam
 from qbailey.qfunctions import FactorProduct, poch_val
@@ -253,3 +254,63 @@ def test_an_uncancelled_zero_drops_its_chains():
 def test_an_uncancelled_pole_raises():
     with pytest.raises(PoleError):
         multisum_eval(_split_unit_spec(None, True), 40)
+
+
+# ---------------------------------------------------------------------------
+# the emission hook, wrapped the way a tracer wraps it
+# ---------------------------------------------------------------------------
+
+def _ag_level(d, prev, s):
+    """Depth 2: q^(s_1^2 + s_2^2) / ((q)_{s_1-s_2} (q)_{s_2}), with a rational
+    factor (1 - 2/3 q^(s_2 + 1/2)) on the inner level."""
+    fp = FactorProduct().times_qpow(2 * s * s)
+    if d == 2:
+        fp.times_poch(Q, prev - s, den=True).times_poch(Q, s, den=True)
+        fp.times_factor(QParam.finite(Fraction(2, 3), 2 * s + 1))
+    return fp
+
+
+def _ag_spec(level_floor=lambda d, s: 2 * s * s):
+    return MultisumSpec(depth=2, lower_bound=0, level=_ag_level, level_floor=level_floor)
+
+
+def _traced(spec, cutoff):
+    """multisum_eval with ``spec.term`` wrapped as perfbench/tracing.py wraps
+    it: ``dataclasses.replace``, call the original, read ``terms`` of what it
+    returns.  Also returns (chain, least exponent of its terms) per call."""
+    calls = []
+
+    def term(chain, leaf):
+        t = spec.term(chain, leaf)
+        calls.append((chain, min(t.terms) if t.terms else None))
+        return t
+
+    return multisum_eval(dataclasses.replace(spec, term=term), cutoff), calls
+
+
+def test_a_wrapped_hook_sees_every_chain_once_and_leaves_the_sum_alone():
+    cutoff = 60
+    spec = _ag_spec()
+    got, calls = _traced(spec, cutoff)
+    plain = multisum_eval(spec, cutoff)
+    chains = [c for c in _chains(2, 0, None, 12) if spec.val_floor(c) < cutoff]
+    want = {}
+    for chain in chains:
+        t = _ag_level(1, None, chain[0]).times(_ag_level(2, chain[0], chain[1])).series(cutoff)
+        want[chain] = min(t.terms) if t.terms else None
+    assert got.cutoff == plain.cutoff == cutoff and got.terms == plain.terms
+    assert got.terms == sum_series(
+        [_ag_level(1, None, a).times(_ag_level(2, a, b)).series(cutoff) for a, b in chains],
+        cutoff).terms
+    assert sorted(c for c, _ in calls) == sorted(chains)  # once per emitted chain
+    assert dict(calls) == want  # min(t.terms) is the chain's term valuation
+    assert all(v == spec.val_floor(c) for c, v in calls)
+
+
+def test_a_wrapped_hook_still_checks_the_chain_floor():
+    # chain (1, 0) has valuation 2; a floor of 3 there is no certificate
+    spec = _ag_spec(lambda d, s: 2 * s * s + (d == 1 and s == 1))
+    with pytest.raises(CertificateViolation, match=r"floor 3 exceeds term valuation 2"):
+        _traced(spec, 40)
+    with pytest.raises(CertificateViolation):
+        multisum_eval(spec, 40)
