@@ -1,12 +1,13 @@
 """Named multisum-equals-product identities and their evaluation.
 
-Each entry builds its left side as a nested multisum (via ``multisum``),
-described by ``_chain_spec`` data, and its right side from data read off the
-statement being verified: a prefactor ``FactorProduct`` of infinite products
-times a finite sum of triple products (``_product_side``).  The two sides
-share no formula.  ``bressoud_master`` and the lattice-route rows
-(``lambda1``, ``lattice3``, ``newlattice3``) are instead parameter maps onto
-the master identity's multisum and j-sum in ``bressoud``.  Half-integer
+Each of the 21 classical families is one ``_family`` row: domain bounds
+(the validator and the documented domain), the ``_chain_spec`` data of the
+left side's nested multisum, and the right side's product terms read off the
+statement: a prefactor of infinite products times a finite sum of triple
+products (``_product_side``).  The two sides share no formula.
+``bressoud_master`` and the lattice-route rows (``lambda1``, ``lattice3``,
+``newlattice3``) are instead parameter maps onto the master identity's
+multisum and j-sum in ``bressoud``.  Half-integer
 exponents are evaluated natively on the q^(1/2) lattice; the base-doubling
 reductions are separate cross-checks, not the implementation.
 
@@ -109,13 +110,11 @@ CATALOG: dict = {}
 def _register(**kw):
     d = IdentityDescriptor(**kw)
     CATALOG[d.name] = d
-    return d
 
 
 def _need(cond, msg):
     if not cond:
         raise BadParam(msg)
-
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +158,13 @@ def _chain_spec(depth, lb, expo, links=None, extra=None, last_upper=None,
                         level_floor=level_floor, last_upper=last_upper)
 
 
+def _mri(p):
+    """A classical row's (m, r, i); the ones it does not take are None."""
+    return p.get("m"), p.get("r"), p["i"]
+
+
 def _product_side(side):
-    """The right side described by side(p) = (prefactor, terms).
+    """The right side described by side(m, r, i) = (prefactor, terms).
 
     ``prefactor`` is a FactorProduct of infinite products (mbr37 adds one
     finite factor).  ``terms`` lists (coeff, h, mod, z) for
@@ -169,7 +173,7 @@ def _product_side(side):
     there are none.
     """
     def rhs(p, cutoff):
-        pre, terms = side(p)
+        pre, terms = side(*_mri(p))
         if not terms:
             return pre.series(cutoff)
 
@@ -187,6 +191,14 @@ def _over_q():
     return FactorProduct().times_poch(Q, INF, den=True)
 
 
+def _over_pochs(mod, exps):
+    """1/prod_e (q^e;q^mod)_oo, the whole right side of rr and gg."""
+    pre = FactorProduct()
+    for e in exps:
+        pre.times_poch(QParam.finite(1, 2 * e), INF, base=2 * mod, den=True)
+    return pre
+
+
 def _neg_q_over_q2():
     """(-q;q^2)_oo/(q^2;q^2)_oo, the prefactor of the doubled-base sides."""
     return (FactorProduct().times_poch(_neg(2), INF, base=4)
@@ -194,80 +206,38 @@ def _neg_q_over_q2():
 
 
 # ---------------------------------------------------------------------------
-# classical identities
+# classical identities: one row per family
 # ---------------------------------------------------------------------------
 
-def _v_rr(p):
-    _need(p["i"] in (0, 1), "rr needs i in {0, 1}")
+def _family(name, summary, domain, chain, side, note=""):
+    """Register a classical row: a chain multisum equal to a product side.
 
+    ``domain`` is None for i in {0, 1}, or (has_m, lo, off) for m >= 0 (when
+    has_m), r >= 2 and lo <= i <= r + off; the validator and the documented
+    domain both come from it, and ``note`` is appended to the latter.
+    chain(m, r, i) returns the ``_chain_spec`` arguments of the left side and
+    side(m, r, i) the (prefactor, terms) of ``_product_side``.
+    """
+    if domain is None:
+        int_params, doc = ("i",), "i in {0,1}"
 
-def _lhs_rr(p, cutoff):
-    i = p["i"]
-    spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + (1 - i) * s), links=[2])
-    return multisum_eval(spec, cutoff)
+        def validate(p):
+            _need(p["i"] in (0, 1), f"{name} needs i in {{0, 1}}")
+    else:
+        has_m, lo, off = domain
+        int_params = ("m", "r", "i") if has_m else ("r", "i")
+        i_range = f"{lo} <= i <= r" + (f"{off:+d}" if off else "")
+        doc = ("m >= 0, " if has_m else "") + f"r >= 2, {i_range}"
 
+        def validate(p):
+            if has_m:
+                _need(p["m"] >= 0, "m >= 0 required (negative m is not specified)")
+            _need(p["r"] >= 2, "r >= 2 required")
+            _need(lo <= p["i"] <= p["r"] + off, f"needs {i_range}")
 
-def _rhs_rr(p):
-    i = p["i"]
-    pre = FactorProduct()
-    for e in (2 - i, 3 + i):
-        pre.times_poch(QParam.finite(1, 2 * e), INF, base=10, den=True)
-    return pre, ()
-
-
-_register(name="rr", summary="two single-sum identities with modulus-5 products",
-          int_params=("i",), validate=_v_rr, lhs=_lhs_rr, rhs=_product_side(_rhs_rr),
-          domain_doc="i in {0,1}")
-
-
-def _v_ag(p):
-    _need(p["r"] >= 2, "r >= 2 required")
-    _need(1 <= p["i"] <= p["r"], "needs 1 <= i <= r")
-
-
-def _lhs_ag(p, cutoff):
-    r, i = p["r"], p["i"]
-    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s + (2 * s if d >= i else 0),
-                       links=[2] * (r - 1))
-    return multisum_eval(spec, cutoff)
-
-
-def _rhs_ag(p):
-    r, i = p["r"], p["i"]
-    return _over_q(), [(1, 0, 2 * (2 * r + 1), 2 * i)]
-
-
-_register(name="ag", summary="odd-moduli multisum family", int_params=("r", "i"),
-          validate=_v_ag, lhs=_lhs_ag, rhs=_product_side(_rhs_ag),
-          domain_doc="r >= 2, 1 <= i <= r")
-
-
-def _v_i_upto_rm1(p):
-    _need(p["r"] >= 2, "r >= 2 required")
-    _need(0 <= p["i"] <= p["r"] - 1, "needs 0 <= i <= r-1")
-
-
-def _lhs_br33(p, cutoff):
-    r, i = p["r"], p["i"]
-    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s - (2 * s if d <= i else 0),
-                       links=[2] * (r - 1))
-    return multisum_eval(spec, cutoff)
-
-
-def _rhs_br33(p):
-    r, i = p["r"], p["i"]
-    return _over_q(), [(1, 0, 2 * (2 * r + 1), 2 * (r - i + k)) for k in range(i + 1)]
-
-
-_register(name="br33", summary="odd-moduli companion with k-indexed tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_br33,
-          rhs=_product_side(_rhs_br33), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _v_m_family(p, i_hi_off=0):
-    _need(p["m"] >= 0, "m >= 0 required (negative m is not specified)")
-    _need(p["r"] >= 2, "r >= 2 required")
-    _need(0 <= p["i"] <= p["r"] + i_hi_off, "i out of range")
+    _register(name=name, summary=summary, int_params=int_params, validate=validate,
+              lhs=lambda p, cutoff: multisum_eval(_chain_spec(**chain(*_mri(p))), cutoff),
+              rhs=_product_side(side), domain_doc=doc + note)
 
 
 def _shifted_binom_tail(fp, m, s, base=2, with_csq=False):
@@ -282,9 +252,24 @@ def _shifted_binom_tail(fp, m, s, base=2, with_csq=False):
     fp.times_series(b)
 
 
-def _lhs_mag(p, cutoff):
-    m, r, i = p["m"], p["r"], p["i"]
+_family("rr", "two single-sum identities with modulus-5 products", None,
+        lambda m, r, i: dict(depth=1, lb=0, expo=lambda d, s: 2 * (s * s + (1 - i) * s),
+                             links=[2]),
+        lambda m, r, i: (_over_pochs(5, (2 - i, 3 + i)), ()))
 
+_family("ag", "odd-moduli multisum family", (False, 1, 0),
+        lambda m, r, i: dict(depth=r - 1, lb=0, links=[2] * (r - 1),
+                             expo=lambda d, s: 2 * s * s + (2 * s if d >= i else 0)),
+        lambda m, r, i: (_over_q(), [(1, 0, 2 * (2 * r + 1), 2 * i)]))
+
+_family("br33", "odd-moduli companion with k-indexed tail", (False, 0, -1),
+        lambda m, r, i: dict(depth=r - 1, lb=0, links=[2] * (r - 1),
+                             expo=lambda d, s: 2 * s * s - (2 * s if d <= i else 0)),
+        lambda m, r, i: (_over_q(), [(1, 0, 2 * (2 * r + 1), 2 * (r - i + k))
+                                     for k in range(i + 1)]))
+
+
+def _mag_chain(m, r, i):
     def expo(d, s):
         e = 2 * s * s + 2 * m * s - (2 * s if d <= i else 0)
         if d == r:
@@ -295,63 +280,27 @@ def _lhs_mag(p, cutoff):
         if d == r:
             _shifted_binom_tail(fp, m, s)
 
-    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r, lb=-(m // 2), expo=expo, extra=extra, last_upper=0)
 
 
-def _rhs_mag(p):
-    m, r, i = p["m"], p["r"], p["i"]
-    return _over_q(), [(1, 2 * m * k, 2 * (2 * r + 1), 2 * ((m + 1) * r - i + 2 * k))
-                       for k in range(i + 1)]
+_family("mag", "m-interpolated odd-moduli family", (True, 0, 0), _mag_chain,
+        lambda m, r, i: (_over_q(), [(1, 2 * m * k, 2 * (2 * r + 1),
+                                      2 * ((m + 1) * r - i + 2 * k))
+                                     for k in range(i + 1)]))
+
+_family("bressoud_even", "even-moduli multisum family", (False, 1, 0),
+        lambda m, r, i: dict(depth=r - 1, lb=0, links=[2] * (r - 2) + [4],
+                             expo=lambda d, s: 2 * s * s + (2 * s if d >= i else 0)),
+        lambda m, r, i: (_over_q(), [(1, 0, 4 * r, 2 * i)]))
+
+_family("br35", "even-moduli companion with k-indexed tail", (False, 0, -1),
+        lambda m, r, i: dict(depth=r - 1, lb=0, links=[2] * (r - 2) + [4],
+                             expo=lambda d, s: 2 * s * s - (2 * s if d <= i else 0)),
+        lambda m, r, i: (_over_q(), [(1, 0, 4 * r, 2 * (r - i + 2 * k))
+                                     for k in range(i + 1)]))
 
 
-_register(name="mag", summary="m-interpolated odd-moduli family",
-          int_params=("m", "r", "i"), validate=_v_m_family, lhs=_lhs_mag,
-          rhs=_product_side(_rhs_mag), domain_doc="m >= 0, r >= 2, 0 <= i <= r")
-
-
-def _v_beven(p):
-    _need(p["r"] >= 2, "r >= 2 required")
-    _need(1 <= p["i"] <= p["r"], "needs 1 <= i <= r")
-
-
-def _lhs_beven(p, cutoff):
-    r, i = p["r"], p["i"]
-    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s + (2 * s if d >= i else 0),
-                       links=[2] * (r - 2) + [4])
-    return multisum_eval(spec, cutoff)
-
-
-def _rhs_beven(p):
-    r, i = p["r"], p["i"]
-    return _over_q(), [(1, 0, 4 * r, 2 * i)]
-
-
-_register(name="bressoud_even", summary="even-moduli multisum family",
-          int_params=("r", "i"), validate=_v_beven, lhs=_lhs_beven,
-          rhs=_product_side(_rhs_beven), domain_doc="r >= 2, 1 <= i <= r")
-
-
-def _lhs_br35(p, cutoff):
-    r, i = p["r"], p["i"]
-    spec = _chain_spec(r - 1, 0, lambda d, s: 2 * s * s - (2 * s if d <= i else 0),
-                       links=[2] * (r - 2) + [4])
-    return multisum_eval(spec, cutoff)
-
-
-def _rhs_br35(p):
-    r, i = p["r"], p["i"]
-    return _over_q(), [(1, 0, 4 * r, 2 * (r - i + 2 * k)) for k in range(i + 1)]
-
-
-_register(name="br35", summary="even-moduli companion with k-indexed tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_br35,
-          rhs=_product_side(_rhs_br35), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _lhs_mb(p, cutoff):
-    m, r, i = p["m"], p["r"], p["i"]
-
+def _mb_chain(m, r, i):
     def expo(d, s):
         return 2 * s * s + (2 * m * s if d <= r - 1 else 0) - (2 * s if d <= i else 0)
 
@@ -360,13 +309,11 @@ def _lhs_mb(p, cutoff):
             fp.times_poch(_neg(2), m + 2 * s - 1)
             _shifted_binom_tail(fp, m, s, base=4)
 
-    spec = _chain_spec(r, -(m // 2), expo, links=[2] * (r - 2) + [4], extra=extra,
-                       last_upper=0)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r, lb=-(m // 2), expo=expo, links=[2] * (r - 2) + [4],
+                extra=extra, last_upper=0)
 
 
-def _rhs_mb(p):
-    m, r, i = p["m"], p["r"], p["i"]
+def _mb_side(m, r, i):
     if m % 2 == 0:
         mm = m // 2
         return _over_q(), [(Fraction(sign(l), 2), 4 * mm * k + 4 * mm * l, 4 * r,
@@ -378,26 +325,20 @@ def _rhs_mb(p):
                        for l in range(mm + 1)]
 
 
-def _rhs_mb_odd_i(p):
+def _mb_odd_i_side(m, r, i):
     """The single closed form valid for odd i and every m >= 0."""
-    m, r, i = p["m"], p["r"], p["i"]
     _need(i % 2 == 1, "closed form only for odd i")
     return _over_q(), [(1, 4 * m * k, 4 * r, 2 * (m * (r - 1) + r - i + 4 * k))
                        for k in range((i - 1) // 2 + 1)]
 
 
-mb_rhs_odd_i = _product_side(_rhs_mb_odd_i)
+mb_rhs_odd_i = _product_side(_mb_odd_i_side)
 
-_register(name="mb", summary="m-interpolated even-moduli family (parity-split tail)",
-          int_params=("m", "r", "i"),
-          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mb,
-          rhs=_product_side(_rhs_mb),
-          domain_doc="m >= 0, r >= 2, 0 <= i <= r-1 (the i = r edge diverges)")
+_family("mb", "m-interpolated even-moduli family (parity-split tail)", (True, 0, -1),
+        _mb_chain, _mb_side, note=" (the i = r edge diverges)")
 
 
-def _lhs_fij0(p, cutoff):
-    r, i = p["r"], p["i"]
-
+def _fij0_chain(m, r, i):
     def expo(d, s):
         e = 2 * s * s + (2 * s if d >= i else 0)
         if d == r - 1:
@@ -408,47 +349,32 @@ def _lhs_fij0(p, cutoff):
         if d == 1:
             fp.times_factor(_neg(2))  # the (1+q) prefactor is the factor (1 - (-q))
 
-    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 2) + [4], extra=extra)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r - 1, lb=0, expo=expo, links=[2] * (r - 2) + [4], extra=extra)
 
 
-def _rhs_fij0(p):
-    r, i = p["r"], p["i"]
-    return _over_q(), [(1, 0, 4 * r, 2 * (2 * r - i - 1)),
-                       (1, 2, 4 * r, 2 * (2 * r - i + 1))]
+_family("fij0", "doubled even-moduli companion, two-product tail", (False, 1, 0),
+        _fij0_chain,
+        lambda m, r, i: (_over_q(), [(1, 0, 4 * r, 2 * (2 * r - i - 1)),
+                                     (1, 2, 4 * r, 2 * (2 * r - i + 1))]))
 
 
-_register(name="fij0", summary="doubled even-moduli companion, two-product tail",
-          int_params=("r", "i"), validate=_v_beven, lhs=_lhs_fij0,
-          rhs=_product_side(_rhs_fij0), domain_doc="r >= 2, 1 <= i <= r")
-
-
-def _lhs_fij(p, cutoff):
-    r, i = p["r"], p["i"]
-
+def _fij_chain(m, r, i):
     def expo(d, s):
         e = 2 * s * s - (2 * s if d <= i else 0)
         if d == r - 1:
             e += 2 * s
         return e
 
-    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 2) + [4])
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r - 1, lb=0, expo=expo, links=[2] * (r - 2) + [4])
 
 
-def _rhs_fij(p):
-    r, i = p["r"], p["i"]
-    return _over_q(), [(1, 0, 4 * r, 2 * (r - i + 2 * k - 1)) for k in range(i + 1)]
+_family("fij", "even-moduli companion with shifted tail products", (False, 0, -1),
+        _fij_chain,
+        lambda m, r, i: (_over_q(), [(1, 0, 4 * r, 2 * (r - i + 2 * k - 1))
+                                     for k in range(i + 1)]))
 
 
-_register(name="fij", summary="even-moduli companion with shifted tail products",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_fij,
-          rhs=_product_side(_rhs_fij), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _lhs_mfij(p, cutoff):
-    m, r, i = p["m"], p["r"], p["i"]
-
+def _mfij_chain(m, r, i):
     def expo(d, s):
         e = 2 * s * s + (2 * m * s if d <= r - 1 else 0) - (2 * s if d <= i else 0)
         if d == r - 1:
@@ -462,97 +388,48 @@ def _lhs_mfij(p, cutoff):
             fp.times_poch(_neg(2), m + 2 * s)
             _shifted_binom_tail(fp, m, s, base=4)
 
-    spec = _chain_spec(r, -(m // 2), expo, links=[2] * (r - 2) + [4], extra=extra,
-                       last_upper=0)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r, lb=-(m // 2), expo=expo, links=[2] * (r - 2) + [4],
+                extra=extra, last_upper=0)
 
 
-def _rhs_mfij(p):
-    m, r, i = p["m"], p["r"], p["i"]
-    return _over_q(), [(1, 2 * m * k, 4 * r, 2 * ((m + 1) * (r - 1) - i + 2 * k))
-                       for k in range(i + 1)]
+_family("mfij", "m-interpolated doubled-companion family", (True, 0, -1), _mfij_chain,
+        lambda m, r, i: (_over_q(), [(1, 2 * m * k, 4 * r,
+                                      2 * ((m + 1) * (r - 1) - i + 2 * k))
+                                     for k in range(i + 1)]),
+        note=" (the i = r edge diverges)")
 
-
-_register(name="mfij", summary="m-interpolated doubled-companion family",
-          int_params=("m", "r", "i"),
-          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mfij,
-          rhs=_product_side(_rhs_mfij),
-          domain_doc="m >= 0, r >= 2, 0 <= i <= r-1 (the i = r edge diverges)")
-
-
-def _v_gg(p):
-    _need(p["i"] in (0, 1), "gg needs i in {0, 1}")
-
-
-def _lhs_gg(p, cutoff):
-    i = p["i"]
-    spec = _chain_spec(1, 0, lambda d, s: 2 * (s * s + 2 * (1 - i) * s), links=[4],
-                       extra=lambda fp, d, s: fp.times_poch(_neg(2), s, base=4))
-    return multisum_eval(spec, cutoff)
-
-
-def _rhs_gg(p):
-    i = p["i"]
-    pre = FactorProduct()
-    for e in (3 - 2 * i, 4, 5 + 2 * i):
-        pre.times_poch(QParam.finite(1, 2 * e), INF, base=16, den=True)
-    return pre, ()
-
-
-_register(name="gg", summary="single-sum modulus-8 pair", int_params=("i",),
-          validate=_v_gg, lhs=_lhs_gg, rhs=_product_side(_rhs_gg),
-          domain_doc="i in {0,1}")
+_family("gg", "single-sum modulus-8 pair", None,
+        lambda m, r, i: dict(depth=1, lb=0, expo=lambda d, s: 2 * (s * s + 2 * (1 - i) * s),
+                             links=[4],
+                             extra=lambda fp, d, s: fp.times_poch(_neg(2), s, base=4)),
+        lambda m, r, i: (_over_pochs(8, (3 - 2 * i, 4, 5 + 2 * i)), ()))
 
 
 # ---------------------------------------------------------------------------
 # the doubled-base quadruple and their m-versions
 # ---------------------------------------------------------------------------
 
-def _b3x_lhs(r, expo, neg_halves, cutoff):
+def _b3x(r, expo, neg_halves):
     """Doubled-base chain over s_1..s_{r-1} with (-q^(neg/2) q^{2 s_{r-1}};q^2)_oo."""
     def extra(fp, d, s):
         if d == r - 1:
             fp.times_poch(_neg(neg_halves + 4 * s), INF, base=4)
 
-    spec = _chain_spec(r - 1, 0, expo, links=[4] * (r - 1), extra=extra)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r - 1, lb=0, expo=expo, links=[4] * (r - 1), extra=extra)
 
 
-def _lhs_b36(p, cutoff):
-    r, i = p["r"], p["i"]
-    return _b3x_lhs(r, lambda d, s: 4 * (s * s - (s if d <= i else 0)), 2, cutoff)
+_family("b36", "doubled-base modulus-4r family, k-tail", (False, 0, -1),
+        lambda m, r, i: _b3x(r, lambda d, s: 4 * (s * s - (s if d <= i else 0)), 2),
+        lambda m, r, i: (_neg_q_over_q2(), [(1, 0, 8 * r, 2 * (2 * r - 2 * i + 2 * k - 1))
+                                            for k in range(i + 1)]))
+
+_family("b37", "doubled-base modulus-4r family, signed k-tail", (False, 0, -1),
+        lambda m, r, i: _b3x(r, lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)), 6),
+        lambda m, r, i: (_neg_q_over_q2(), [(sign(k), 2 * k, 8 * r, 2 * (2 * i + 1 - 2 * k))
+                                            for k in range(i + 1)]))
 
 
-def _rhs_b36(p):
-    r, i = p["r"], p["i"]
-    return _neg_q_over_q2(), [(1, 0, 8 * r, 2 * (2 * r - 2 * i + 2 * k - 1))
-                              for k in range(i + 1)]
-
-
-_register(name="b36", summary="doubled-base modulus-4r family, k-tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b36,
-          rhs=_product_side(_rhs_b36), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _lhs_b37(p, cutoff):
-    r, i = p["r"], p["i"]
-    return _b3x_lhs(r, lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)), 6, cutoff)
-
-
-def _rhs_b37(p):
-    r, i = p["r"], p["i"]
-    return _neg_q_over_q2(), [(sign(k), 2 * k, 8 * r, 2 * (2 * i + 1 - 2 * k))
-                              for k in range(i + 1)]
-
-
-_register(name="b37", summary="doubled-base modulus-4r family, signed k-tail",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b37,
-          rhs=_product_side(_rhs_b37), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _lhs_b38(p, cutoff, last_base=4):
-    r, i = p["r"], p["i"]
-
+def _b38_chain(r, i, last_base):
     def extra(fp, d, s):
         if d == 1:
             fp.times_poch(_neg(2 - 4 * s), s, base=4)  # (-q^{1-2s_1};q^2)_{s_1}
@@ -564,39 +441,21 @@ def _lhs_b38(p, cutoff, last_base=4):
             return v
         return 0
 
-    spec = _chain_spec(r - 1, 0, lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)),
-                       links=[4] * (r - 2) + [last_base], extra=extra,
-                       extra_floor=extra_floor)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r - 1, lb=0,
+                expo=lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)),
+                links=[4] * (r - 2) + [last_base], extra=extra, extra_floor=extra_floor)
 
 
-def _rhs_b38(p):
-    r, i = p["r"], p["i"]
-    return _neg_q_over_q2(), [(1, 0, 8 * r, 2 * (2 * i + 1))]
+_family("b38", "doubled-base single-product family", (False, 0, -1),
+        lambda m, r, i: _b38_chain(r, i, last_base=4),
+        lambda m, r, i: (_neg_q_over_q2(), [(1, 0, 8 * r, 2 * (2 * i + 1))]))
+
+_family("b39", "doubled-base single-product family, shifted modulus", (False, 0, -1),
+        lambda m, r, i: _b38_chain(r, i, last_base=8),
+        lambda m, r, i: (_neg_q_over_q2(), [(1, 0, 8 * r - 4, 2 * (2 * i + 1))]))
 
 
-_register(name="b38", summary="doubled-base single-product family",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b38,
-          rhs=_product_side(_rhs_b38), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _lhs_b39(p, cutoff):
-    return _lhs_b38(p, cutoff, last_base=8)
-
-
-def _rhs_b39(p):
-    r, i = p["r"], p["i"]
-    return _neg_q_over_q2(), [(1, 0, 8 * r - 4, 2 * (2 * i + 1))]
-
-
-_register(name="b39", summary="doubled-base single-product family, shifted modulus",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_b39,
-          rhs=_product_side(_rhs_b39), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _lhs_mbr36(p, cutoff):
-    m, r, i = p["m"], p["r"], p["i"]
-
+def _mbr36_chain(m, r, i):
     def expo(d, s):
         e = 2 * s * s + 2 * m * s - (2 * s if d <= i else 0)
         if d == r:
@@ -610,26 +469,18 @@ def _lhs_mbr36(p, cutoff):
         elif d == r - 1:
             fp.times_poch(_neg(m + 1), s, den=True)
 
-    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r, lb=-(m // 2), expo=expo, extra=extra, last_upper=0)
 
 
-def _rhs_mbr36(p):
-    m, r, i = p["m"], p["r"], p["i"]
-    return _over_q(), [(1, 2 * m * k, 4 * r, 2 * ((m + 1) * r - i + 2 * k) - (m + 1))
-                       for k in range(i + 1)]
+_family("mbr36", "half-lattice m-version, even and doubled pair", (True, 0, -1),
+        _mbr36_chain,
+        lambda m, r, i: (_over_q(), [(1, 2 * m * k, 4 * r,
+                                      2 * ((m + 1) * r - i + 2 * k) - (m + 1))
+                                     for k in range(i + 1)]),
+        note=" (the i = r edge diverges)")
 
 
-_register(name="mbr36", summary="half-lattice m-version, even and doubled pair",
-          int_params=("m", "r", "i"),
-          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr36,
-          rhs=_product_side(_rhs_mbr36),
-          domain_doc="m >= 0, r >= 2, 0 <= i <= r-1 (the i = r edge diverges)")
-
-
-def _lhs_mbr37(p, cutoff):
-    m, r, i = p["m"], p["r"], p["i"]
-
+def _mbr37_chain(m, r, i):
     def expo(d, s):
         e = 2 * s * s - (2 * s if d <= i else 0)
         if d <= r - 1:
@@ -645,12 +496,10 @@ def _lhs_mbr37(p, cutoff):
         elif d == r - 1:
             fp.times_poch(_neg(2 + m), s, den=True)
 
-    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r, lb=-(m // 2), expo=expo, extra=extra, last_upper=0)
 
 
-def _rhs_mbr37(p):
-    m, r, i = p["m"], p["r"], p["i"]
+def _mbr37_side(m, r, i):
     if m % 2 == 0:
         mm = m // 2
         terms = [(Fraction(sign(l), 2), 4 * mm * k + 2 * mm * l, 4 * r,
@@ -670,40 +519,30 @@ def _rhs_mbr37(p):
     return _over_q().times_factor(_neg(m)), terms  # (1 + q^(m/2)) / (q;q)_oo
 
 
-_register(name="mbr37", summary="half-lattice m-version with parity-split tail",
-          int_params=("m", "r", "i"),
-          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr37,
-          rhs=_product_side(_rhs_mbr37), domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
+_family("mbr37", "half-lattice m-version with parity-split tail", (True, 0, -1),
+        _mbr37_chain, _mbr37_side)
 
 
-def _mbr89_expo(m, i, r):
+def _mbr89_expo(m, i, d, s):
     # the a^{s_r} weight of the underlying chain keeps its full m s_r part at
     # the last level; the two-parameter refinement halves only the s_1 weight
-    def expo(d, s):
-        if d == 1:
-            e = s * s + m * s + s - 2 * s * (1 if 1 <= i else 0)
-        else:
-            e = 2 * s * s + 2 * m * s - (2 * s if d <= i else 0)
-        return e
-
-    return expo
+    if d == 1:
+        return s * s + m * s + s - 2 * s * (1 if 1 <= i else 0)
+    return 2 * s * s + 2 * m * s - (2 * s if d <= i else 0)
 
 
-def _lhs_mbr38(p, cutoff):
-    m, r, i = p["m"], p["r"], p["i"]
-
+def _mbr38_chain(m, r, i):
     def extra(fp, d, s):
         if d == 1:
             fp.times_poch(_neg(m), s)
         if d == r:
             _shifted_binom_tail(fp, m, s, with_csq=True)
 
-    spec = _chain_spec(r, -(m // 2), _mbr89_expo(m, i, r), extra=extra, last_upper=0)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r, lb=-(m // 2), expo=lambda d, s: _mbr89_expo(m, i, d, s),
+                extra=extra, last_upper=0)
 
 
-def _rhs_mbr38(p):
-    m, r, i = p["m"], p["r"], p["i"]
+def _mbr38_side(m, r, i):
     if m % 2 == 0:
         mm = m // 2
         terms = [(Fraction(sign(l), 2), 2 * mm * (k + l), 4 * r,
@@ -717,17 +556,13 @@ def _rhs_mbr38(p):
     return _over_q().times_poch(_neg(m), INF), terms  # (-q^(m/2);q)_oo / (q;q)_oo
 
 
-_register(name="mbr38", summary="half-lattice m-version with 2i-tail",
-          int_params=("m", "r", "i"),
-          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr38,
-          rhs=_product_side(_rhs_mbr38), domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
+_family("mbr38", "half-lattice m-version with 2i-tail", (True, 0, -1),
+        _mbr38_chain, _mbr38_side)
 
 
-def _lhs_mbr39(p, cutoff):
-    m, r, i = p["m"], p["r"], p["i"]
-
+def _mbr39_chain(m, r, i):
     def expo(d, s):
-        e = _mbr89_expo(m, i, r)(d, s)
+        e = _mbr89_expo(m, i, d, s)
         if d == r:
             e -= (m + 1) * s
         return e
@@ -741,12 +576,10 @@ def _lhs_mbr39(p, cutoff):
         elif d == r - 1:
             fp.times_poch(_neg(m + 1), s, den=True)
 
-    spec = _chain_spec(r, -(m // 2), expo, extra=extra, last_upper=0)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r, lb=-(m // 2), expo=expo, extra=extra, last_upper=0)
 
 
-def _rhs_mbr39(p):
-    m, r, i = p["m"], p["r"], p["i"]
+def _mbr39_side(m, r, i):
     if m % 2 == 0:
         mm = m // 2
         terms = [(Fraction(sign(l), 2), 2 * mm * (k + l), 4 * r - 2,
@@ -760,15 +593,11 @@ def _rhs_mbr39(p):
     return _over_q().times_poch(_neg(m), INF), terms  # (-q^(m/2);q)_oo / (q;q)_oo
 
 
-_register(name="mbr39", summary="half-lattice m-version, shifted modulus",
-          int_params=("m", "r", "i"),
-          validate=lambda p: _v_m_family(p, i_hi_off=-1), lhs=_lhs_mbr39,
-          rhs=_product_side(_rhs_mbr39), domain_doc="m >= 0, r >= 2, 0 <= i <= r-1")
+_family("mbr39", "half-lattice m-version, shifted modulus", (True, 0, -1),
+        _mbr39_chain, _mbr39_side)
 
 
-def _lhs_new1(p, cutoff, with_half_tail=False):
-    r, i = p["r"], p["i"]
-
+def _new_chain(r, i, half_tail):
     def expo(d, s):
         if d == 1:
             return s * s + s - 2 * s * (1 if 1 <= i else 0)
@@ -777,37 +606,21 @@ def _lhs_new1(p, cutoff, with_half_tail=False):
     def extra(fp, d, s):
         if d == 1:
             fp.times_poch(_neg(0), s)
-        if with_half_tail and d == r - 1:
+        if half_tail and d == r - 1:
             fp.times_poch(_neg(1), s, den=True)
 
-    spec = _chain_spec(r - 1, 0, expo, links=[2] * (r - 1), extra=extra)
-    return multisum_eval(spec, cutoff)
+    return dict(depth=r - 1, lb=0, expo=expo, links=[2] * (r - 1), extra=extra)
 
 
-def _rhs_new1(p):
-    r, i = p["r"], p["i"]
-    return (_over_q().times_poch(_neg(2), INF),
-            [(1, 0, 4 * r, 2 * (r - i + k)) for k in range(2 * i + 1)])
+_family("new1", "companion with (-1)_{s_1} insertion", (False, 0, -1),
+        lambda m, r, i: _new_chain(r, i, half_tail=False),
+        lambda m, r, i: (_over_q().times_poch(_neg(2), INF),
+                         [(1, 0, 4 * r, 2 * (r - i + k)) for k in range(2 * i + 1)]))
 
-
-_register(name="new1", summary="companion with (-1)_{s_1} insertion",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_new1,
-          rhs=_product_side(_rhs_new1), domain_doc="r >= 2, 0 <= i <= r-1")
-
-
-def _lhs_new2(p, cutoff):
-    return _lhs_new1(p, cutoff, with_half_tail=True)
-
-
-def _rhs_new2(p):
-    r, i = p["r"], p["i"]
-    return (_over_q().times_poch(_neg(2), INF),
-            [(1, 0, 4 * r - 2, 2 * (r - i + k) - 1) for k in range(2 * i + 1)])
-
-
-_register(name="new2", summary="half-lattice companion with (-1)_{s_1} insertion",
-          int_params=("r", "i"), validate=_v_i_upto_rm1, lhs=_lhs_new2,
-          rhs=_product_side(_rhs_new2), domain_doc="r >= 2, 0 <= i <= r-1")
+_family("new2", "half-lattice companion with (-1)_{s_1} insertion", (False, 0, -1),
+        lambda m, r, i: _new_chain(r, i, half_tail=True),
+        lambda m, r, i: (_over_q().times_poch(_neg(2), INF),
+                         [(1, 0, 4 * r - 2, 2 * (r - i + k) - 1) for k in range(2 * i + 1)]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import QBaileyError
+from .errors import BadParam, QBaileyError
 from .qparams import QParam
 from .pairs import make_pair, pairs_agree, verify_pair
 from .qfunctions import FactorProduct
@@ -142,8 +142,10 @@ def transform_check(name, trials=5, seed=0, cutoff=60, n_min=-6, n_max=6):
 
     The soundness trials compare below ``cutoff``; the composition checks
     compare below min(cutoff, 40).  ``passed`` needs every trial and every
-    composition check to pass.
+    composition check to pass, so it needs at least one trial.
     """
+    if trials < 1:
+        raise BadParam(f"transform-check needs trials >= 1, got {trials}")
     results = transform_soundness(name, trials=trials, seed=seed, cutoff=cutoff,
                                   n_min=n_min, n_max=n_max)
     comp = composition_checks(name, seed=seed, cutoff=min(cutoff, 40))

@@ -140,20 +140,32 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
                          f"relation sum at n={n} did not truncate").truncate(cutoff)
 
 
-def verify_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> VerifyReport:
-    """Check the defining relation on the window, exactly below the cutoff."""
+def _compare_on_window(n_min, n_max, cutoff, sides) -> VerifyReport:
+    """Compare each (lhs, rhs, note) of sides(n), n_min <= n <= n_max, exactly
+    below the cutoff.  An empty window compares nothing, so it is refused
+    rather than passed."""
+    if n_min > n_max:
+        raise BadParam(f"empty window: n_min = {n_min} > n_max = {n_max}")
     compared = INF
     for n in range(n_min, n_max + 1):
-        rhs = relation_rhs(pair, n, cutoff)
-        lhs = pair.beta(n, cutoff)
-        order, diff = first_diff(lhs, rhs, cutoff)
-        compared = min(compared, order)
-        if diff is not None:
-            e, cb, cr = diff
-            return VerifyReport(False, n_min, n_max, cutoff, compared,
-                                {"n": n, "exponent_halves": e,
-                                 "lhs_coeff": cb, "rhs_coeff": cr})
+        for lhs, rhs, note in sides(n):
+            order, diff = first_diff(lhs, rhs, cutoff)
+            compared = min(compared, order)
+            if diff is not None:
+                e, cl, cr = diff
+                return VerifyReport(False, n_min, n_max, cutoff, compared,
+                                    {"n": n, "exponent_halves": e,
+                                     "lhs_coeff": cl, "rhs_coeff": cr}, note=note)
     return VerifyReport(compared >= cutoff, n_min, n_max, cutoff, compared)
+
+
+def verify_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> VerifyReport:
+    """Check the defining relation on the window, exactly below the cutoff."""
+    def sides(n):
+        rhs = relation_rhs(pair, n, cutoff)
+        return [(pair.beta(n, cutoff), rhs, "")]
+
+    return _compare_on_window(n_min, n_max, cutoff, sides)
 
 
 def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
@@ -192,18 +204,11 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
 
 def invert_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> VerifyReport:
     """Check alpha against the inversion of beta on the window."""
-    compared = INF
-    for n in range(n_min, n_max + 1):
+    def sides(n):
         rhs = inversion_alpha(pair, n, cutoff)
-        lhs = pair.alpha(n, cutoff)
-        order, diff = first_diff(lhs, rhs, cutoff)
-        compared = min(compared, order)
-        if diff is not None:
-            e, cl, cr = diff
-            return VerifyReport(False, n_min, n_max, cutoff, compared,
-                                {"n": n, "exponent_halves": e,
-                                 "lhs_coeff": cl, "rhs_coeff": cr})
-    return VerifyReport(compared >= cutoff, n_min, n_max, cutoff, compared)
+        return [(pair.alpha(n, cutoff), rhs, "")]
+
+    return _compare_on_window(n_min, n_max, cutoff, sides)
 
 
 def pairs_agree(p1: BaileyPair, p2: BaileyPair, n_min: int, n_max: int,
@@ -214,19 +219,9 @@ def pairs_agree(p1: BaileyPair, p2: BaileyPair, n_min: int, n_max: int,
                             {"n": n_min, "exponent_halves": 0,
                              "lhs_coeff": 0, "rhs_coeff": 0},
                             note=f"relative parameters differ: {p1.a} vs {p2.a}")
-    compared = INF
-    for n in range(n_min, n_max + 1):
-        for s1, s2, which in ((p1.alpha(n, cutoff), p2.alpha(n, cutoff), "alpha"),
-                              (p1.beta(n, cutoff), p2.beta(n, cutoff), "beta")):
-            order, diff = first_diff(s1, s2, cutoff)
-            compared = min(compared, order)
-            if diff is not None:
-                e, c1, c2 = diff
-                return VerifyReport(False, n_min, n_max, cutoff, compared,
-                                    {"n": n, "exponent_halves": e,
-                                     "lhs_coeff": c1, "rhs_coeff": c2},
-                                    note=f"{which} sequences differ")
-    return VerifyReport(compared >= cutoff, n_min, n_max, cutoff, compared)
+    return _compare_on_window(n_min, n_max, cutoff, lambda n: (
+        (p1.alpha(n, cutoff), p2.alpha(n, cutoff), "alpha sequences differ"),
+        (p1.beta(n, cutoff), p2.beta(n, cutoff), "beta sequences differ")))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +319,31 @@ def _general_m_pair(a: QParam, m: int) -> BaileyPair:
     )
 
 
+def _base_change_beta(m, c, qpow, val_bound, name):
+    """The beta of both base-change pairs of the shifted pair:
+    beta_n = (q^2;q^2)_m sum_{j<=n} (-1)^j q^(qpow(n, j)/2) (c)_{2j}
+    / (q^2;q^2)_{n-j} * [m+j over m+2j]_{q^2}."""
+    q2 = QParam.finite(1, 4)
+    q2m = poch(q2, m, base=4)
+
+    def beta(n, cutoff):
+        out = Series.zero()
+        for j in range(-(m // 2), min(n, 0) + 1):
+            b = qbinom(m + j, m + 2 * j, base=4)
+            if b.is_zero_below_cutoff():
+                continue
+            fp = FactorProduct()
+            fp.times_scalar(sign(j))
+            fp.times_qpow(qpow(n, j))
+            fp.times_poch(c, 2 * j)
+            fp.times_poch(q2, n - j, base=4, den=True)
+            fp.times_series(b * q2m)
+            out = out + fp.series(cutoff)
+        return out.truncate(cutoff)
+
+    return BilateralSequence(beta, val_bound, support=(-(m // 2), INF), name=name)
+
+
 def _shifted_d4_pair(m: int) -> BaileyPair:
     # Base-change (D4 limit) of the shifted pair: relative to a = q^m with
     #   alpha_n = (-1)^n q^{n^2} (1+q^m)/(1+q^{m+2n}),
@@ -331,8 +351,6 @@ def _shifted_d4_pair(m: int) -> BaileyPair:
     #             / (q^2;q^2)_{n-j} * [m+j over m+2j]_{q^2}.
     if m < 0:
         raise BadParam("shifted-D4 pair needs m >= 0")
-    q2 = QParam.finite(1, 4)
-    q2m = poch(q2, m, base=4)
     neg_qm = QParam.finite(-1, 2 * m)
 
     def acoeff(n):
@@ -343,27 +361,12 @@ def _shifted_d4_pair(m: int) -> BaileyPair:
         fp.times_factor(QParam.finite(-1, 2 * m + 4 * n), den=True)
         return fp
 
-    def beta(n, cutoff):
-        out = Series.zero()
-        for j in range(-(m // 2), min(n, 0) + 1):
-            b = qbinom(m + j, m + 2 * j, base=4)
-            if b.is_zero_below_cutoff():
-                continue
-            fp = FactorProduct()
-            fp.times_scalar(sign(j))
-            fp.times_qpow(2 * j * j)
-            fp.times_poch(neg_qm, 2 * j)
-            fp.times_poch(q2, n - j, base=4, den=True)
-            fp.times_series(b * q2m)
-            out = out + fp.series(cutoff)
-        return out.truncate(cutoff)
-
     return BaileyPair(
         QParam.finite(1, 2 * m),
         BilateralSequence(lambda n, c: acoeff(n).series(c),
                           lambda n: acoeff(n).val_bound(), name="shifted_d4.alpha"),
-        BilateralSequence(beta, lambda n: 0, support=(-(m // 2), INF),
-                          name="shifted_d4.beta"),
+        _base_change_beta(m, neg_qm, lambda n, j: 2 * j * j, lambda n: 0,
+                          "shifted_d4.beta"),
         label=f"shifted_D4(m={m})",
     )
 
@@ -375,32 +378,14 @@ def _shifted_d1_pair(m: int) -> BaileyPair:
     #             / (q^2;q^2)_{n-j} * [m+j over m+2j]_{q^2}.
     if m < 0:
         raise BadParam("shifted-D1 pair needs m >= 0")
-    q2 = QParam.finite(1, 4)
-    q2m = poch(q2, m, base=4)
-    neg_q1m = QParam.finite(-1, 2 * m + 2)
-
-    def beta(n, cutoff):
-        out = Series.zero()
-        for j in range(-(m // 2), min(n, 0) + 1):
-            b = qbinom(m + j, m + 2 * j, base=4)
-            if b.is_zero_below_cutoff():
-                continue
-            fp = FactorProduct()
-            fp.times_scalar(sign(j))
-            fp.times_qpow(2 * j * j + 2 * n - 4 * j)
-            fp.times_poch(neg_q1m, 2 * j)
-            fp.times_poch(q2, n - j, base=4, den=True)
-            fp.times_series(b * q2m)
-            out = out + fp.series(cutoff)
-        return out.truncate(cutoff)
-
     return BaileyPair(
         QParam.finite(1, 2 * m),
         BilateralSequence(lambda n, c: Series.monomial(sign(n),
                                                        2 * n * n - 2 * n),
                           lambda n: 2 * n * n - 2 * n, name="shifted_d1.alpha"),
-        BilateralSequence(beta, lambda n: min(0, 2 * n), support=(-(m // 2), INF),
-                          name="shifted_d1.beta"),
+        _base_change_beta(m, QParam.finite(-1, 2 * m + 2),
+                          lambda n, j: 2 * j * j + 2 * n - 4 * j,
+                          lambda n: min(0, 2 * n), "shifted_d1.beta"),
         label=f"shifted_D1(m={m})",
     )
 

@@ -266,6 +266,27 @@ def test_newlattice3_early_stop_reproducer():
                          "sigmas": [fin(-1, -1)]}, 33)
 
 
+def test_domain_text_is_the_domain_check():
+    # each clause of a classical row's documented domain is a Python
+    # expression in m, r and i; validate accepts exactly where all hold
+    from qbailey.catalog import CATALOG
+    classical = [d for d in CATALOG.values() if not d.qparam_params and not d.list_params]
+    assert len(classical) == 21
+    for desc in classical:
+        clauses = desc.domain_doc.split(" (")[0].split(", ")
+        for m in range(-1, 5):
+            for r in range(0, 7):
+                for i in range(-1, 8):
+                    point = {"m": m, "r": r, "i": i}
+                    documented = all(eval(c, {}, point) for c in clauses)
+                    try:
+                        desc.validate(point)
+                        accepted = True
+                    except BadParam:
+                        accepted = False
+                    assert accepted == documented, (desc.name, point, desc.domain_doc)
+
+
 def test_identity_names_exposed():
     names = identity_names()
     for expected in ("rr", "ag", "mag", "gg", "bressoud_master", "lambda1"):

@@ -226,6 +226,17 @@ def test_lattice_inner_parameter_spellings():
     assert "rhos1, rhos2" in r.stderr and "sigmas1, sigmas2" in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("--trials", "1", "--n-min", "3", "--n-max", "-3", "--cutoff", "10"),
+    ("--trials", "0"),
+], ids=["empty-window", "zero-trials"])
+def test_transform_check_that_compares_nothing_exits_two(args):
+    # a PASS must mean compared: no window and no trial both used to pass
+    r = run("--format", "json", "transform-check", "--transform", "key2", *args)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
 _ZERO_DENOMINATOR = {"r": 2, "i": 1, "a": "1/0", "b1": "inf", "c1": "inf", "c2": "inf"}
 
 
@@ -246,10 +257,11 @@ def test_zero_denominator_parameter_exits_two():
     {"command": "verify", "identity": "nope", "cutoff": 10},
     {"command": "transform-check", "transform": "key2", "trials": "abc"},
     {"command": "transform-check", "transform": "nope"},
+    {"command": "transform-check", "transform": "key2", "trials": 0, "cutoff": 10},
     [3],
 ], ids=["zero-denominator", "no-cutoff", "text-cutoff", "text-int-param",
         "params-not-object", "unknown-identity", "text-trials", "unknown-transform",
-        "not-an-object"])
+        "zero-trials", "not-an-object"])
 def test_malformed_batch_entry_exits_two(tmp_path, entry):
     f = tmp_path / "batch.json"
     f.write_text(json.dumps([entry]))

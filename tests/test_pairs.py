@@ -140,6 +140,16 @@ def test_short_compare_is_not_a_pass():
         assert report.compared == 10 and not report.passed
 
 
+def test_an_empty_window_is_refused():
+    # no n is compared when n_min > n_max, so no report may say PASS
+    pair = make_pair("unit", a=fin(1, 4))
+    for check in (lambda: verify_pair(pair, 3, -3, 10),
+                  lambda: invert_pair(pair, 1, 0, 10),
+                  lambda: pairs_agree(pair, pair, 3, -3, 10)):
+        with pytest.raises(BadParam, match="empty window"):
+            check()
+
+
 def test_round_trip_on_unilateral_pairs():
     for a in (fin(2, 2), fin(1, 4), fin(5, 2)):
         pair = make_pair("unit", a=a)

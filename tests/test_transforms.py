@@ -12,7 +12,7 @@ from qbailey.qfunctions import qbinom
 from qbailey.pairs import make_pair, pairs_agree
 from qbailey.series import Series, series_equal
 from qbailey.transforms import REGISTRY, apply_transform, f_direct
-from qbailey.checks import composition_checks, transform_soundness
+from qbailey.checks import composition_checks, transform_check, transform_soundness
 
 fin = QParam.finite
 
@@ -153,6 +153,11 @@ def test_soundness_smoke():
                  "lovejoy_lift"):
         results = transform_soundness(name, trials=2, seed=5, cutoff=40)
         assert all(r["passed"] for r in results), (name, results)
+
+
+def test_transform_check_needs_a_trial():
+    with pytest.raises(BadParam, match="trials >= 1"):
+        transform_check("key2", trials=0, cutoff=10)
 
 
 def test_unsupported_limits_and_preconditions():
