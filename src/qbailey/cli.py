@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import BadParam, PoleError, QBaileyError, TruncationUnreachable, UnknownIdentity
@@ -77,15 +76,24 @@ def _coerce_identity_params(name, raw):
     return params
 
 
+def _make_report_dir(report_dir):
+    """Create the report directory before computing, so an unusable one costs no run."""
+    try:
+        Path(report_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise BadParam(f"cannot use --report-dir {report_dir}: {e}") from e
+
+
 def _write_report(report_dir, stem, payload):
     if not report_dir:
         return
-    path = Path(report_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    out = path / f"{stem}.json"
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out = Path(report_dir) / f"{stem}.json"
+    try:
+        with open(out, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise BadParam(f"cannot write report {out}: {e}") from e
 
 
 def _inject_fault(report, halves):
@@ -201,8 +209,11 @@ def cmd_batch(args) -> int:
     except (OSError, ValueError) as e:
         print(f"cannot read batch file: {e}", file=sys.stderr)
         return EXIT_USAGE
-    workers = int(os.environ.get("QBAILEY_WORKERS", "1"))
-    if workers > 1 and len(entries) > 1:
+    workers = min(_int(os.environ.get("QBAILEY_WORKERS", "1"), "QBAILEY_WORKERS"),
+                  len(entries))
+    if workers > 1:
+        # imported here, not at the top: multiprocessing would slow every start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_entry, entries))
     else:
@@ -295,6 +306,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_PASS
     try:
+        if args.report_dir:
+            _make_report_dir(args.report_dir)
         return args.func(args)
     except (BadParam, UnknownIdentity) as e:
         print(f"parameter error: {e}", file=sys.stderr)

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,6 @@ CLI = [sys.executable, "-m", "qbailey.cli"]
 
 
 def run(*args, env=None):
-    import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -116,13 +117,66 @@ def test_batch_all_pass_and_fault(tmp_path):
         assert failing[0][key] == single[key]
 
 
+def _without_runtimes(summary):
+    for result in summary["results"]:
+        result.pop("runtime_ms")
+    return summary
+
+
 def test_batch_parallel_workers(tmp_path):
     batch = [{"command": "verify", "identity": "rr", "params": {"i": i % 2},
               "cutoff": 40} for i in range(4)]
     f = tmp_path / "batch.json"
     f.write_text(json.dumps(batch))
-    r = run("batch", "--file", str(f), env={"QBAILEY_WORKERS": "2"})
-    assert r.returncode == 0, r.stdout + r.stderr
+    # the pool changes where entries run, never what they report
+    parallel, serial = (
+        run("--format", "json", "batch", "--file", str(f), env={"QBAILEY_WORKERS": n})
+        for n in ("2", "1"))
+    assert parallel.returncode == serial.returncode == 0, parallel.stderr + serial.stderr
+    assert (_without_runtimes(json.loads(parallel.stdout))
+            == _without_runtimes(json.loads(serial.stdout)))
+
+
+@pytest.mark.parametrize("workers", ["two", ""], ids=["text", "empty"])
+def test_bad_worker_count_exits_two(tmp_path, workers):
+    f = tmp_path / "batch.json"
+    f.write_text(json.dumps([{"command": "verify", "identity": "rr",
+                              "params": {"i": 0}, "cutoff": 10}] * 2))
+    r = run("batch", "--file", str(f), env={"QBAILEY_WORKERS": workers})
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr and "QBAILEY_WORKERS" in r.stderr
+
+
+def test_unusable_report_dir_exits_two(tmp_path):
+    parent = tmp_path / "a-file"
+    parent.write_text("")
+    r = run("--report-dir", str(parent / "sub"),
+            "verify", "--identity", "rr", "--i", "0", "--cutoff", "20")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr and "--report-dir" in r.stderr
+    assert r.stdout == ""
+    # a report that cannot be written is a usage error too, not a mismatch
+    (tmp_path / "reports" / "batch_summary.json").mkdir(parents=True)
+    f = tmp_path / "empty.json"
+    f.write_text("[]")
+    r = run("--report-dir", str(tmp_path / "reports"), "batch", "--file", str(f))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr and "cannot write report" in r.stderr
+
+
+@pytest.mark.parametrize("code", [
+    "import qbailey.cli; qbailey.cli.build_parser()",
+    "import qbailey",
+], ids=["cli", "package"])
+def test_start_up_loads_no_worker_pool(code):
+    # only a batch on more than one worker needs multiprocessing
+    probe = (code + "; import sys; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_batch_malformed_exit_two(tmp_path):
