@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from .errors import BadParam, PoleError
 from .qparams import Q, QParam
-from .qfunctions import FactorProduct, fp_pp, poch_val, sign
+from .qfunctions import FactorProduct, fp_pp, poch_val, sign, truncated_sum
 from .multisum import MultisumSpec, multisum_eval
-from .series import INF, Series, truncated_sum
+from .corollaries import _geom
+from .series import INF, Series
 
 
 def _pp_floor(p: QParam, s: int):
@@ -73,10 +74,11 @@ def _poch_floor(p: QParam, s: int):
 
 
 def _jsum(a: QParam, b: QParam, coeff_fp_fn, floor_fn, cutoff):
-    """(a/b)_oo sum_{j >= 0} coeff(j), cut off by ``series.truncated_sum``'s stop rule.
+    """(a/b)_oo sum_{j >= 0} coeff(j), cut off by ``qfunctions.truncated_sum``'s
+    stop rule.
 
-    floor_fn(j) bounds the valuation of coeff(j); coeff_fp_fn(j) returns a
-    FactorProduct, or None for a zero term.  Term j divides by (b - a q^j),
+    floor_fn(j) bounds the valuation of coeff(j); coeff_fp_fn(j) returns it
+    as a FactorProduct, annihilated for a zero term.  Term j divides by (b - a q^j),
     so b = a q^j0 with j0 >= 0 makes (a/b)_oo vanish exactly where term j0
     has a pole; that 0 * oo raises ``PoleError`` rather than evaluating to
     the zero series.
@@ -85,13 +87,10 @@ def _jsum(a: QParam, b: QParam, coeff_fp_fn, floor_fn, cutoff):
     if b.is_finite and pre.val_bound() == INF:
         raise PoleError(f"master rhs: {b} collides with a q^j")
 
-    def build(j, c):
-        fp = coeff_fp_fn(j)
-        return Series.zero() if fp is None else fp.series(c)
-
     def jsum(c):
-        return truncated_sum(0, 1, INF, lambda j: (floor_fn(j), lambda: build(j, c)), c,
-                             "master rhs: j-sum did not truncate").truncate(c)
+        return truncated_sum([(0, 1, INF)],
+                             lambda j: (floor_fn(j), lambda: [coeff_fp_fn(j).part(c)]),
+                             c, "master rhs: j-sum did not truncate").truncate(c)
 
     return pre.series_times(jsum, cutoff)
 
@@ -119,19 +118,10 @@ def _a_quotient_floor(a: QParam, j: int):
     return -v
 
 
-def _geom_X(a: QParam, j: int, top: int) -> Series:
-    """G_top(X) = 1 + X + ... + X^top with X = a q^{2j}."""
-    X = a.q_shift(4 * j)
-    out = Series.zero()
-    for t in range(top + 1):
-        out = out + X.monomial(t)
-    return out
-
-
 def _bracket_all_inf(fp, a: QParam, j: int, top: int):
     """Install 1 - X^{top+1} = (1 - X) G_top(X) in cancellable factored form."""
     fp.times_factor(a, 4 * j)
-    fp.times_series(_geom_X(a, j, top))
+    fp.times_series(_geom(a, j, top))
     return fp
 
 
@@ -292,7 +282,7 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
         else:
             num, den = _bracket(a, r, bs, j)
             if num.is_zero_below_cutoff():
-                return None
+                return fp.times_scalar(0)
             fp.times_series(num)
             for b in bs:
                 if b.is_finite:  # 1/(b - a q^j)

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .errors import BadParam, UnknownIdentity
 from .qparams import ONE, Q, QParam
-from .qfunctions import FactorProduct, poch_val, qbinom, sign, triple_product
+from .qfunctions import DenseSum, FactorProduct, poch_val, qbinom, sign, triple_part
 from .multisum import MultisumSpec, multisum_eval
-from .series import INF, Series, first_diff, sum_series
+from .series import INF, Series, first_diff
 from . import bressoud
 
 
@@ -170,7 +170,8 @@ def _product_side(side):
     finite factor).  ``terms`` lists (coeff, h, mod, z) for
     coeff q^(h/2) (Q, q^(z/2), Q/q^(z/2); Q)_oo with Q = q^(mod/2).  The side
     is the prefactor times the sum of the terms, or the prefactor alone when
-    there are none.
+    there are none.  The terms go into one ``DenseSum`` as the kernel leaves
+    them, and the prefactor multiplies that sum once.
     """
     def rhs(p, cutoff):
         pre, terms = side(*_mri(p))
@@ -178,8 +179,10 @@ def _product_side(side):
             return pre.series(cutoff)
 
         def body(c):
-            return sum_series((triple_product(QParam.finite(1, z), c - min(0, h), base=mod)
-                               .times_monomial(coeff, h) for coeff, h, mod, z in terms), c)
+            total = DenseSum(c)
+            for coeff, h, mod, z in terms:
+                total.add(*triple_part(QParam.finite(1, z), c, mod, coeff, h))
+            return total.series()
 
         return pre.series_times(body, cutoff)
 

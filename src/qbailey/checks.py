@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import BadParam, QBaileyError
 from .qparams import QParam
 from .pairs import make_pair, pairs_agree, verify_pair
-from .qfunctions import FactorProduct
+from .qfunctions import DenseSum, FactorProduct
 from . import transforms as T
 
 _COEFF_POOL = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2),
@@ -166,9 +166,10 @@ def _scaled_pair_combo(p1, c1, p2, c2):
 
     def combine(s1, s2, which):
         def ev(n, c):
-            out = c1.series_times(lambda cc: s1(n, cc), c, s1.val_bound(n))
-            out = out + c2.series_times(lambda cc: s2(n, cc), c, s2.val_bound(n))
-            return out.truncate(c)
+            total = DenseSum(c)
+            total.add(*s1.part(c1, n, c))
+            total.add(*s2.part(c2, n, c))
+            return total.series()
 
         lo = min(s1.support_lo, s2.support_lo)
         hi = max(s1.support_hi, s2.support_hi)

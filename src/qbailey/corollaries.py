@@ -19,16 +19,20 @@ the specializations a = q^m evaluate without removable 0/0s.
 
 ``finite_n_check`` evaluates the finite-n nested-sum identities (the chain
 with i lattice-side steps, classical and q-twisted variants) at a single n.
+
+The other sums add each term, a factor product times alpha_j or beta_{s_r},
+to one ``DenseSum`` as the kernel left it (``BilateralSequence.part``); the
+bilateral ones stop by ``qfunctions.truncated_sum``'s heuristic rule.
 """
 
 from __future__ import annotations
 
 from .errors import BadParam, PoleError, TruncationUnreachable
 from .qparams import Q, QParam
-from .qfunctions import FactorProduct, fp_pp, poch_val, sign
+from .qfunctions import DenseSum, FactorProduct, fp_pp, poch_val, sign, truncated_sum
 from .multisum import MultisumSpec, multisum_eval
 from .pairs import BaileyPair, VerifyReport
-from .series import INF, Series, first_diff, truncated_sum
+from .series import INF, Series, first_diff
 
 
 def _geom(a: QParam, j: int, top: int) -> Series:
@@ -40,22 +44,20 @@ def _geom(a: QParam, j: int, top: int) -> Series:
 
 
 def _bilateral_alpha_sum(pair, coeff_fp_fn, cutoff, label):
-    """sum_j coeff(j) * alpha_j, run upward from j = 0 and downward from j = -1.
+    """sum_j coeff(j) * alpha_j, run upward from j = 0 and downward from j = -1
+    into one sum.
 
     coeff_fp_fn(j) returns a FactorProduct.  Each direction stops by
-    ``series.truncated_sum``'s rule, which is a heuristic (see there).
+    ``qfunctions.truncated_sum``'s rule, which is a heuristic (see there).
     """
     alpha = pair.alpha
 
     def at(j):
         fp = coeff_fp_fn(j)
-        return fp.val_bound() + alpha.val_bound(j), lambda: fp.series_times(
-            lambda c: pair.alpha(j, c), cutoff, alpha.val_bound(j))
+        return fp.val_bound() + alpha.val_bound(j), lambda: [alpha.part(fp, j, cutoff)]
 
-    label = f"{label}: bilateral sum did not truncate"
-    up = truncated_sum(0, 1, alpha.support_hi, at, cutoff, label)
-    down = truncated_sum(-1, -1, alpha.support_lo, at, cutoff, label)
-    return (up + down).truncate(cutoff)
+    return truncated_sum([(0, 1, alpha.support_hi), (-1, -1, alpha.support_lo)], at,
+                         cutoff, f"{label}: bilateral sum did not truncate").truncate(cutoff)
 
 
 def corollary_sum(pair: BaileyPair, r: int, i: int, variant, cutoff):
@@ -258,10 +260,9 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             fp.times_poch(Q, s_prev - s, den=True)
             s_prev = s
 
-    out = Series.zero()
+    total = DenseSum(cutoff)
     # chains n >= s_1 >= ... >= s_r >= lo: a finite box
     def rec(d, prev, chain):
-        nonlocal out
         if d > r:
             fp = FactorProduct()
             fp.times_param_pow(a, sum(chain))
@@ -273,9 +274,7 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
                 expo = sum(chain[dd - 1] for dd in range(i + 1, r + 1))
             fp.times_qpow(2 * expo)
             blocks(fp, chain)
-            s_r = chain[-1]
-            out = out + fp.series_times(lambda c: pair.beta(s_r, c), cutoff,
-                                        beta.val_bound(s_r))
+            total.add(*beta.part(fp, chain[-1], cutoff))
             return
         hi = prev
         if d == r:
@@ -284,7 +283,7 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             rec(d + 1, s, chain + [s])
 
     rec(1, n, [])
-    return out.truncate(cutoff)
+    return total.series()
 
 
 def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
@@ -311,8 +310,8 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             fp.times_poch(aq / sd, j, den=True)
         fp.times_param_pow(aq, (r - i) * j)
 
-    def make_terms(j):
-        plans = []
+    def plans(j):
+        out = []
         for idx, (jj, extra) in enumerate(((j, "first"), (j - 1, "second"))):
             fp = FactorProduct()
             fp.times_scalar(1 if idx == 0 else -1)
@@ -327,33 +326,28 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             elif idx == 1:
                 fp.times_param_pow(a, 1)
                 fp.times_qpow(4 * j - 4)
-            plans.append((fp, jj))
-        return plans
-
-    def plans_sum(plans):
-        total = Series.zero()
-        for fp, jj in plans:
-            total = total + fp.series_times(lambda c: pair.alpha(jj, c), cutoff,
-                                            alpha.val_bound(jj))
-        return total
+            out.append((fp, jj))
+        return out
 
     if twisted:
         # alpha_0/((q)_n (a)_n) + sum_{j=1..n} ...
         fp0 = FactorProduct()
         fp0.times_poch(Q, n, den=True)
         fp0.times_poch(a, n, den=True)
-        out = fp0.series_times(lambda c: pair.alpha(0, c), cutoff, alpha.val_bound(0))
+        total = DenseSum(cutoff)
+        total.add(*alpha.part(fp0, 0, cutoff))
         for j in range(1, n + 1):
-            out = out + plans_sum(make_terms(j))
-        return out.truncate(cutoff)
+            for fp, jj in plans(j):
+                total.add(*alpha.part(fp, jj, cutoff))
+        return total.series()
 
     def at(j):
         _, kind = poch_val(a, n + j)
         if kind == "pole":
             return INF, None  # 1/(a)_{n+j} = 0 here and for every smaller j
-        plans = make_terms(j)
-        return (min(fp.val_bound() + alpha.val_bound(jj) for fp, jj in plans),
-                lambda: plans_sum(plans))
+        got = plans(j)
+        return (min(fp.val_bound() + alpha.val_bound(jj) for fp, jj in got),
+                lambda: [alpha.part(fp, jj, cutoff) for fp, jj in got])
 
-    return truncated_sum(min(n, alpha.support_hi + 1), -1, alpha.support_lo, at,
+    return truncated_sum([(min(n, alpha.support_hi + 1), -1, alpha.support_lo)], at,
                          cutoff, "finite-n rhs did not truncate").truncate(cutoff)

@@ -136,7 +136,7 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
     def emit(s, part, vb):
         seed = spec.seed
         if seed is not None and part.a is not None and part.zeros <= 0:
-            # as in FactorProduct.series_times: when the floors reach the
+            # as in FactorProduct.part_times: when the floors reach the
             # cutoff nothing is built (and a pole is not raised)
             if part.shift + vb >= cutoff:
                 part = PartialProduct(None)

@@ -4,6 +4,10 @@ Everything here is deliberately unoptimized and shares no code with
 ``series.py``: dense coefficient arrays, schoolbook convolution, and a
 partition-counting dynamic program.  Disagreement with the sparse engine
 always indicates a bug, never a tolerance issue.
+
+``sum_series`` adds engine ``Series`` in one dict; it is the tests'
+reference for ``qfunctions.DenseSum``, through which the engine adds every
+sum, and uses ``Series`` only to hold its result.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvertZero
+from .series import Series
 
 INF = float("inf")
 
@@ -35,6 +40,17 @@ class DenseSeries:
 
     def to_terms(self):
         return {self.offset + i: c for i, c in enumerate(self.coeffs) if c}
+
+
+def sum_series(terms, cutoff=INF) -> Series:
+    """The sum of the series ``terms``, exact below the least of ``cutoff``
+    and their cutoffs."""
+    out = {}
+    for t in terms:
+        cutoff = min(cutoff, t.cutoff)
+        for e, c in t.terms.items():
+            out[e] = out.get(e, 0) + c
+    return Series(out, cutoff)
 
 
 def dense_mul(a: DenseSeries, b: DenseSeries) -> DenseSeries:

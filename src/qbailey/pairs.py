@@ -6,8 +6,10 @@ beta_n), n in Z, with
     beta_n = sum_{j <= n} alpha_j / ( (q)_{n-j} (aq)_{n+j} ).
 
 ``verify_pair`` recomputes the right side by enumerating j downward from n
-with ``series.truncated_sum``, whose stop rule is a heuristic (see there);
-``invert_pair`` recomputes alpha from beta through
+with ``qfunctions.truncated_sum``, whose stop rule is a heuristic (see
+there); each term is a factor product times alpha_j, added as the kernel
+left it to the sum's one ``DenseSum``.  ``invert_pair`` recomputes alpha
+from beta the same way, through
 
     alpha_n = (1-aq^{2n})/(1-a) *
               sum_{j <= n} (a)_{n+j}/(q)_{n-j} (-1)^{n-j} q^C(n-j,2) beta_j.
@@ -24,8 +26,8 @@ from fractions import Fraction
 
 from .errors import BadParam, CertificateViolation, PoleError
 from .qparams import Q, QParam
-from .qfunctions import FactorProduct, poch, poch_val, qbinom, sign
-from .series import INF, Series, first_diff, truncated_sum
+from .qfunctions import DenseSum, FactorProduct, poch, poch_val, qbinom, sign, truncated_sum
+from .series import INF, Series, first_diff
 
 
 @dataclass
@@ -93,6 +95,12 @@ class BilateralSequence:
             self._cache[key] = got
         return got
 
+    def part(self, fp: FactorProduct, n, cutoff):
+        """fp * self(n) as the kernel's state, (PartialProduct, c) exact below
+        c, for a ``DenseSum``; nothing is built when the valuations reach
+        the cutoff."""
+        return fp.part_times(lambda c: self(n, c), cutoff, self.val_bound(n))
+
     def val_bound(self, n):
         if not (self.support_lo <= n <= self.support_hi):
             return INF
@@ -121,9 +129,9 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
     aq = pair.a.q_shift(2)
     alpha = pair.alpha
 
-    def term(j):
+    def parts(j):
         fp = FactorProduct().times_poch(Q, n - j, den=True).times_poch(aq, n + j, den=True)
-        return fp.series_times(lambda c: pair.alpha(j, c), cutoff, alpha.val_bound(j))
+        return [alpha.part(fp, j, cutoff)]
 
     def at(j):
         v_aq, kind = poch_val(aq, n + j)
@@ -134,9 +142,9 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
                 return None, None
             raise PoleError(
                 f"defining relation degenerates: (aq)_{n + j} = 0 with aq = {aq}")
-        return alpha.val_bound(j) - v_aq, lambda: term(j)
+        return alpha.val_bound(j) - v_aq, lambda: parts(j)
 
-    return truncated_sum(min(n, alpha.support_hi), -1, alpha.support_lo, at, cutoff,
+    return truncated_sum([(min(n, alpha.support_hi), -1, alpha.support_lo)], at, cutoff,
                          f"relation sum at n={n} did not truncate").truncate(cutoff)
 
 
@@ -178,14 +186,14 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
         return Series.zero()
     inner_cut = cutoff - vpref
 
-    def term(j):
+    def parts(j):
         d = n - j
         fp = FactorProduct()
         fp.times_scalar(sign(d))
         fp.times_qpow(d * (d - 1))
         fp.times_poch(a, n + j)
         fp.times_poch(Q, d, den=True)
-        return fp.series_times(lambda c: beta(j, c), inner_cut, beta.val_bound(j))
+        return [beta.part(fp, j, inner_cut)]
 
     def at(j):
         v_a, kind = poch_val(a, n + j)
@@ -195,9 +203,9 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
             raise PoleError(f"(a)_{n + j} has a pole with a = {a}")
         d = n - j
         # the floor of the whole term, prefactor included
-        return vpref + beta.val_bound(j) + v_a + d * (d - 1), lambda: term(j)
+        return vpref + beta.val_bound(j) + v_a + d * (d - 1), lambda: parts(j)
 
-    out = truncated_sum(min(n, beta.support_hi), -1, beta.support_lo, at, cutoff,
+    out = truncated_sum([(min(n, beta.support_hi), -1, beta.support_lo)], at, cutoff,
                         f"inversion sum at n={n} did not truncate")
     return pref.series(cutoff, out.truncate(inner_cut))
 
@@ -327,7 +335,7 @@ def _base_change_beta(m, c, qpow, val_bound, name):
     q2m = poch(q2, m, base=4)
 
     def beta(n, cutoff):
-        out = Series.zero()
+        total = DenseSum(cutoff)
         for j in range(-(m // 2), min(n, 0) + 1):
             b = qbinom(m + j, m + 2 * j, base=4)
             if b.is_zero_below_cutoff():
@@ -338,8 +346,8 @@ def _base_change_beta(m, c, qpow, val_bound, name):
             fp.times_poch(c, 2 * j)
             fp.times_poch(q2, n - j, base=4, den=True)
             fp.times_series(b * q2m)
-            out = out + fp.series(cutoff)
-        return out.truncate(cutoff)
+            total.add(*fp.part(cutoff))
+        return total.series()
 
     return BilateralSequence(beta, val_bound, support=(-(m // 2), INF), name=name)
 

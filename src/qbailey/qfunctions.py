@@ -42,8 +42,10 @@ one dense kernel in three phases:
 factors once to a list its chains share (see ``multisum``).  ``DenseSum``
 adds such results (``_kernel`` hands them out without phase 3) into one int
 list over one common denominator, one integer multiply per entry, and
-reduces each coefficient of the sum once: the multisum's leaves and the
-terms of a transformed sequence are summed this way.  Sparse
+reduces each coefficient of the sum once.  Every sum of factor products
+in the engine is added this way: the multisum's leaves, the terms of a
+transformed sequence, and every sum that ``truncated_sum`` cuts off (the
+Bailey relation and its inversion, j-sums and corollary sums).  Sparse
 ``Series`` multiplication stays for products of general series; the kernel
 is checked against it, ``Series.invert`` and ``oracle.py``.
 """
@@ -61,6 +63,7 @@ from .qparams import QParam
 from .series import INF, Series
 
 _ONE_MONO = (Fraction(1), 0)
+_STREAK = 4  # consecutive skipped terms after which truncated_sum stops
 
 
 def sign(k: int) -> int:
@@ -392,6 +395,50 @@ class DenseSum:
         return _build(self.a, self.D, Fraction(1), self.base, self.cutoff)
 
 
+def truncated_sum(runs, at, cutoff, label) -> Series:
+    """Sum of the terms j = start, start + step, ... up to ``last`` inclusive,
+    for each (start, step, last) of ``runs``.
+
+    ``last`` may be INF or -INF.  ``at(j)`` returns ``(floor, parts)``: a
+    lower bound on the valuation of term j and a function of no arguments
+    that returns the term's kernel parts, (PartialProduct, c) pairs exact
+    below c, as ``FactorProduct.part_times`` hands them out.  A term whose
+    floor reaches ``cutoff`` is skipped without being built.  A
+    floor of None marks an index whose term is identically zero: it is
+    stepped past and not counted as a skip.  Every part of every run is
+    added to one ``DenseSum``, so the result is exact below the least of the
+    parts' cutoffs; it is not truncated to ``cutoff``.
+
+    The stop rule is a heuristic, not a certificate: a run ends after
+    ``_STREAK`` consecutive skipped terms, so a later term whose floor dips
+    below the cutoff again is lost.  More than 10 * max(cutoff, 1) + 200
+    steps in one run raise ``TruncationUnreachable(label)``.
+    """
+    total = DenseSum(INF)
+    cap = 10 * max(cutoff, 1) + 200
+    for start, step, last in runs:
+        streak = 0
+        steps = 0
+        j = start
+        while (j <= last) if step > 0 else (j >= last):
+            steps += 1
+            if steps > cap:
+                raise TruncationUnreachable(label)
+            floor, parts = at(j)
+            if floor is None:
+                pass
+            elif floor >= cutoff:
+                streak += 1
+                if streak >= _STREAK:
+                    break
+            else:
+                streak = 0
+                for part, c in parts():
+                    total.add(part, c)
+            j += step
+    return total.series()
+
+
 def _mono_coeff(c: Fraction):
     """A factor's coefficient, as an int when it is one: the multisets hash
     and compare their monomials, which is much cheaper on ints."""
@@ -571,16 +618,23 @@ def jtp_sum(z: QParam, cutoff, base: int = 2) -> Series:
     return out.truncate(cutoff)
 
 
-def triple_product(z: QParam, cutoff, base: int = 2) -> Series:
-    """(Q, z, Q/z; Q)_oo with Q = q^(base/2): the product side of the identity."""
+def triple_part(z: QParam, cutoff, base: int = 2, coeff=1, halves=0):
+    """coeff * x^halves * (Q, z, Q/z; Q)_oo as the kernel's state,
+    (PartialProduct, c) exact below c, for a ``DenseSum``."""
     Qp = QParam.finite(1, base)
     params = (Qp, z, Qp / z)
     vals = [poch_val(p, INF, base) for p in params]
     if any(kind == "zero" for _, kind in vals):
-        return Series.zero(cutoff)
-    bound = cutoff - sum(v for v, _ in vals)
-    return _expand([m for p in params for m in _poch_monos(p, INF, base, bound)[0]],
-                   [], cutoff)
+        return PartialProduct([]), cutoff
+    bound = cutoff - halves - sum(v for v, _ in vals)
+    return _kernel([m for p in params for m in _poch_monos(p, INF, base, bound)[0]],
+                   [], cutoff, coeff=coeff, halves=halves)
+
+
+def triple_product(z: QParam, cutoff, base: int = 2) -> Series:
+    """(Q, z, Q/z; Q)_oo with Q = q^(base/2): the product side of the identity."""
+    part, c = triple_part(z, cutoff, base)
+    return part.series(c)
 
 
 def jacobi_triple(z: QParam, cutoff, base: int = 2):
@@ -764,10 +818,8 @@ class FactorProduct:
         When the two valuations reach the cutoff, nothing is built and the
         zero series is returned.  ``self`` is left unchanged.
         """
-        v = self.val_bound()
-        if v + floor >= cutoff:
-            return Series.zero(cutoff)
-        return self.series(cutoff, build(cutoff - v))
+        part, c = self.part_times(build, cutoff, floor)
+        return part.series(c)
 
     def part_times(self, build, cutoff, floor=0):
         """``series_times`` as the kernel's state, (PartialProduct, c) exact
@@ -775,11 +827,17 @@ class FactorProduct:
         v = self.val_bound()
         if v + floor >= cutoff:
             return PartialProduct([]), cutoff
-        got = self._seeded(cutoff, build(cutoff - v))
+        return self.part(cutoff, build(cutoff - v))
+
+    def part(self, cutoff, seed=None):
+        """``series(cutoff, seed)`` as the kernel's state, (PartialProduct, c)
+        exact below c, for a ``DenseSum``."""
+        got = self._seeded(cutoff, seed)
         if got is None:
             return PartialProduct(None), INF
         num, den, seed = got
-        return _kernel(num.elements(), den.elements(), cutoff, seed, self.coeff, self.halves)
+        return _kernel(num.elements(), den.elements(), cutoff,
+                       Series.one() if seed is None else seed, self.coeff, self.halves)
 
     def series(self, cutoff, seed=None) -> Series:
         """This product times ``seed`` (default 1), exact below the cutoff

@@ -8,16 +8,18 @@ known exactly everywhere (polynomials, monomials, exact zero).
 
 All operations propagate the tightest provable cutoff instead of assuming
 the operands share one.
+
+The engine adds its sums of factor products in ``qfunctions.DenseSum``, not
+here: ``Series.__add__`` serves polynomials and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvertZero, TruncationUnreachable
+from .errors import InvertZero
 
 INF = float("inf")
-_STREAK = 4  # consecutive skipped terms after which truncated_sum stops
 
 
 def _norm(c):
@@ -240,21 +242,6 @@ class Series:
         return Series({int(e): Fraction(c) for e, c in obj["terms"]}, cutoff)
 
 
-def sum_series(terms, cutoff=INF) -> Series:
-    """The sum of the series ``terms``, exact below the least of ``cutoff``
-    and their cutoffs.
-
-    The coefficients are added into one dict and normalised once, at the
-    end, instead of copying a running sum for every term.
-    """
-    out = {}
-    for t in terms:
-        cutoff = min(cutoff, t.cutoff)
-        for e, c in t.terms.items():
-            out[e] = out.get(e, 0) + c
-    return Series(out, cutoff)
-
-
 def first_diff(a: Series, b: Series, upto=None):
     """First exponent below min(cutoffs, upto) where a and b differ.
 
@@ -300,40 +287,3 @@ def product_at(cutoff, parts):
             break
     return out.truncate(cutoff)
 
-
-def truncated_sum(start, step, last, at, cutoff, label):
-    """Sum of the terms j = start, start + step, ... up to ``last`` inclusive.
-
-    ``last`` may be INF or -INF.  ``at(j)`` returns ``(floor, build)``: a
-    lower bound on the valuation of term j and a function of no arguments
-    that builds the term.  A term whose floor reaches ``cutoff`` is skipped
-    without being built.  A floor of None marks an index whose term is
-    identically zero: it is stepped past and not counted as a skip.
-
-    The stop rule is a heuristic, not a certificate: the sum ends after
-    ``_STREAK`` consecutive skipped terms, so a later term whose floor dips
-    below the cutoff again is lost.  More than 10 * max(cutoff, 1) + 200
-    terms raise ``TruncationUnreachable(label)``.  The result is not
-    truncated; each term carries its own cutoff.
-    """
-    terms = []
-    cap = 10 * max(cutoff, 1) + 200
-    streak = 0
-    steps = 0
-    j = start
-    while (j <= last) if step > 0 else (j >= last):
-        steps += 1
-        if steps > cap:
-            raise TruncationUnreachable(label)
-        floor, build = at(j)
-        if floor is None:
-            pass
-        elif floor >= cutoff:
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
-            terms.append(build())
-        j += step
-    return sum_series(terms)

@@ -35,17 +35,12 @@ def _combine(plans, cutoff) -> Series:
     term is added to one ``DenseSum`` as the kernel left it."""
     total = DenseSum(cutoff)
     for fp, seq, k in plans:
-        total.add(*fp.part_times(lambda c: seq(k, c), cutoff, seq.val_bound(k)))
+        total.add(*seq.part(fp, k, cutoff))
     return total.series()
 
 
 def _plans_vb(plans):
-    best = INF
-    for fp, seq, k in plans:
-        v = fp.val_bound() + seq.val_bound(k)
-        if v < best:
-            best = v
-    return best
+    return min((fp.val_bound() + seq.val_bound(k) for fp, seq, k in plans), default=INF)
 
 
 def _seq_from_plans(plan_fn, support, name) -> BilateralSequence:
@@ -155,61 +150,20 @@ def bailey_lemma(pair: BaileyPair, rho: QParam, sigma: QParam) -> BaileyPair:
 # the two key lemmas and their one-parameter interpolation (a -> a/q)
 # ---------------------------------------------------------------------------
 
-def _key_terms(a: QParam, n: int, twist: bool):
-    """The two-term alpha combination shared by the a -> a/q lemmas.
-
-    twist=False:  (1-a) [ alpha_n/(1-aq^{2n}) - aq^{2n-2} alpha_{n-1}/(1-aq^{2n-2}) ]
-    twist=True:   (1-a) [ q^n alpha_n/(1-aq^{2n}) - q^{n-1} alpha_{n-1}/(1-aq^{2n-2}) ]
-    """
-    t1 = FactorProduct()
-    t1.times_factor(a, 0)
-    t1.times_factor(a, 4 * n, den=True)
-    t2 = FactorProduct()
-    t2.times_factor(a, 0)
-    t2.times_factor(a, 4 * n - 4, den=True)
-    t2.times_scalar(-1)
-    if twist:
-        t1.times_qpow(2 * n)
-        t2.times_qpow(2 * n - 2)
-    else:
-        t2.times_param_pow(a, 1)
-        t2.times_qpow(4 * n - 4)
-    return t1, t2
-
-
-def _key_transform(pair: BaileyPair, twist: bool, label: str) -> BaileyPair:
-    a = pair.a
-    sup = (pair.alpha.support_lo, pair.alpha.support_hi + 1)
-
-    def alpha_plans(n):
-        t1, t2 = _key_terms(a, n, twist)
-        return [(t1, pair.alpha, n), (t2, pair.alpha, n - 1)]
-
-    if twist:
-        def beta(n, c):
-            return pair.beta(n, c - 2 * n).times_monomial(1, 2 * n)
-
-        beta_seq = BilateralSequence(beta, lambda n: pair.beta.val_bound(n) + 2 * n,
-                                     (pair.beta.support_lo, pair.beta.support_hi),
-                                     name=label + ".beta")
-    else:
-        beta_seq = pair.beta
-    return BaileyPair(
-        a.q_shift(-2),
-        _seq_from_plans(alpha_plans, sup, label + ".alpha"),
-        beta_seq,
-        label=f"{label}[{pair.label}]",
-    )
-
-
 def key1(pair: BaileyPair) -> BaileyPair:
-    """a -> a/q with beta unchanged."""
-    return _key_transform(pair, twist=False, label="key1")
+    """a -> a/q with beta unchanged: nlattice1 at N = 1,
+
+    alpha'_n = (1-a) [ alpha_n/(1-aq^{2n}) - aq^{2n-2} alpha_{n-1}/(1-aq^{2n-2}) ].
+    """
+    return nlattice1(pair, 1)
 
 
 def key2(pair: BaileyPair) -> BaileyPair:
-    """a -> a/q with beta'_n = q^n beta_n."""
-    return _key_transform(pair, twist=True, label="key2")
+    """a -> a/q with beta'_n = q^n beta_n: nlattice2 at N = 1,
+
+    alpha'_n = (1-a) [ q^n alpha_n/(1-aq^{2n}) - q^{n-1} alpha_{n-1}/(1-aq^{2n-2}) ].
+    """
+    return nlattice2(pair, 1)
 
 
 def general(pair: BaileyPair, b: QParam) -> BaileyPair:
@@ -257,33 +211,14 @@ def general(pair: BaileyPair, b: QParam) -> BaileyPair:
     )
 
 
-def _lattice_like(pair: BaileyPair, rho: QParam, sigma: QParam, twist: bool,
-                  label: str) -> BaileyPair:
-    a = pair.a
-    sup = (pair.alpha.support_lo, pair.alpha.support_hi + 1)
-
-    def alpha_plans(n):
-        outer = _lemma_alpha(FactorProduct(), a, rho, sigma, n)
-        t1, t2 = _key_terms(a, n, twist)
-        return [(t1.times(outer), pair.alpha, n), (t2.times(outer), pair.alpha, n - 1)]
-
-    return BaileyPair(
-        a.q_shift(-2),
-        _seq_from_plans(alpha_plans, sup, label + ".alpha"),
-        _lemma_beta(pair, a, rho, sigma, (lambda n, j: 2 * j) if twist else _no_twist,
-                    label + ".beta"),
-        label=f"{label}(rho={rho}, sigma={sigma})[{pair.label}]",
-    )
-
-
 def lattice(pair: BaileyPair, rho: QParam, sigma: QParam) -> BaileyPair:
-    """The bilateral a -> a/q lattice with two free parameters."""
-    return _lattice_like(pair, rho, sigma, twist=False, label="lattice")
+    """The bilateral a -> a/q lattice with two free parameters: w1 at N = 1."""
+    return w1(pair, 1, rho, sigma)
 
 
 def new_lattice(pair: BaileyPair, rho: QParam, sigma: QParam) -> BaileyPair:
-    """The q^n-twisted a -> a/q lattice with two free parameters."""
-    return _lattice_like(pair, rho, sigma, twist=True, label="new_lattice")
+    """The q^n-twisted a -> a/q lattice with two free parameters: analog_w1 at N = 1."""
+    return analog_w1(pair, 1, rho, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +330,22 @@ def _ratio_j(a: QParam, N: int, n: int, j: int) -> FactorProduct:
     return fp
 
 
+def _lattice_fp(a: QParam, N: int, n: int, j: int, twisted: bool) -> FactorProduct:
+    """The coefficient of alpha_{n-j} in the first N-lattice, ``_ratio_j`` times
+    (-1)^j a^j q^{(2n-N)j-j(j+1)/2} [N over j], or in the second (twisted),
+    ``_ratio_j`` times (-1)^j q^{N(n-j)+j(j-1)/2} [N over j]."""
+    fp = _ratio_j(a, N, n, j)
+    fp.times_scalar(sign(j))
+    if twisted:
+        fp.times_qpow(2 * N * (n - j) + j * (j - 1))
+    else:
+        fp.times_param_pow(a, j)
+        fp.times_qpow(2 * (2 * n - N) * j - j * (j + 1))
+    if 0 < j < N:  # [N over 0] = [N over N] = 1
+        fp.times_series(qbinom(N, j))
+    return fp
+
+
 def nlattice(pair: BaileyPair, bs) -> BaileyPair:
     """a -> a q^{-N} with N parameters b_1..b_N through the f kernel.
 
@@ -464,15 +415,7 @@ def nlattice1(pair: BaileyPair, N: int) -> BaileyPair:
     a = pair.a
 
     def alpha_plans(n):
-        plans = []
-        for j in range(0, N + 1):
-            fp = _ratio_j(a, N, n, j)
-            fp.times_scalar(sign(j))
-            fp.times_param_pow(a, j)
-            fp.times_qpow(2 * (2 * n - N) * j - j * (j + 1))
-            fp.times_series(qbinom(N, j))
-            plans.append((fp, pair.alpha, n - j))
-        return plans
+        return [(_lattice_fp(a, N, n, j, False), pair.alpha, n - j) for j in range(N + 1)]
 
     return BaileyPair(
         a.q_shift(-2 * N),
@@ -496,14 +439,7 @@ def nlattice2(pair: BaileyPair, N: int) -> BaileyPair:
     a = pair.a
 
     def alpha_plans(n):
-        plans = []
-        for j in range(0, N + 1):
-            fp = _ratio_j(a, N, n, j)
-            fp.times_scalar(sign(j))
-            fp.times_qpow(2 * N * (n - j) + j * (j - 1))
-            fp.times_series(qbinom(N, j))
-            plans.append((fp, pair.alpha, n - j))
-        return plans
+        return [(_lattice_fp(a, N, n, j, True), pair.alpha, n - j) for j in range(N + 1)]
 
     def beta(n, c):
         return pair.beta(n, c - 2 * n * N).times_monomial(1, 2 * n * N)
@@ -538,15 +474,7 @@ def _w_like(pair: BaileyPair, N: int, rho: QParam, sigma: QParam,
     a = pair.a
 
     def core_fp(n, j):
-        fp = _ratio_j(a, N, n, j)
-        fp.times_scalar(sign(j))
-        if twisted:
-            fp.times_qpow(2 * N * (n - j) + j * (j - 1))
-        else:
-            fp.times_param_pow(a, j)
-            fp.times_qpow(2 * (2 * n - N) * j - j * (j + 1))
-        fp.times_series(qbinom(N, j))
-        return fp
+        return _lattice_fp(a, N, n, j, twisted)
 
     if lattice_first:
         am = a.q_shift(2 * (1 - N))  # a q^{1-N}: the lemma runs at a q^{-N}

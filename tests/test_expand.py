@@ -8,11 +8,11 @@ import pytest
 
 from qbailey import cli
 from qbailey.errors import InvertZero, PoleError
-from qbailey.oracle import DenseSeries, dense_invert, dense_mul
+from qbailey.oracle import DenseSeries, dense_invert, dense_mul, sum_series
 from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, _expand, _kernel,
                                poch, poch_recip, poch_val)
 from qbailey.qparams import QParam
-from qbailey.series import INF, Series, product_at, sum_series
+from qbailey.series import INF, Series, product_at
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 monos = st.tuples(coeffs, st.integers(-8, 12)).filter(lambda m: m != (1, 0))

@@ -10,7 +10,8 @@ from qbailey.errors import CertificateViolation, PoleError
 from qbailey.multisum import MultisumSpec, multisum_eval
 from qbailey.qparams import QParam
 from qbailey.qfunctions import FactorProduct, poch_val
-from qbailey.series import INF, Series, sum_series
+from qbailey.oracle import sum_series
+from qbailey.series import INF, Series
 
 Q = QParam.finite(1, 2)
 

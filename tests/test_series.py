@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from qbailey.series import INF, Series, first_diff, series_equal, truncated_sum
+from qbailey.series import INF, Series, first_diff, series_equal
 from qbailey.errors import InvertZero, TruncationUnreachable
+from qbailey.oracle import sum_series
+from qbailey.qfunctions import PartialProduct, truncated_sum
 
 
 def geometric(n, cutoff):
@@ -117,27 +119,45 @@ def test_first_diff_reports_smallest_divergence():
     assert diff == (4, 2, 3)
 
 
+def _x(j):
+    """x^j as an exact kernel part."""
+    return PartialProduct([1], shift=j), INF
+
+
 def summed(floors, start=0, step=1, last=INF, cutoff=10):
     """truncated_sum over terms x^j with the given floors; returns (sum, built js)."""
     built = []
 
     def at(j):
-        def build():
+        def parts():
             built.append(j)
-            return Series.monomial(1, j)
-        return floors(j), build
+            return [_x(j)]
+        return floors(j), parts
 
-    return truncated_sum(start, step, last, at, cutoff, "test sum"), built
+    return truncated_sum([(start, step, last)], at, cutoff, "test sum"), built
 
 
 def test_truncated_sum_never_builds_a_skipped_term():
     def at(j):
         if j == 2:
             return 10, lambda: pytest.fail("term 2 was built")
-        return 0, lambda: Series.monomial(1, j)
+        return 0, lambda: [_x(j)]
 
-    out = truncated_sum(0, 1, 4, at, 10, "test sum")
+    out = truncated_sum([(0, 1, 4)], at, 10, "test sum")
     assert out.terms == {0: 1, 1: 1, 3: 1, 4: 1}
+
+
+def test_truncated_sum_reports_the_least_cutoff_of_its_parts():
+    # x^j + x^(j+1), exact below cuts[j]; both directions go into one sum
+    cuts = {-1: 6, 0: 9, 1: INF}
+
+    def at(j):
+        return 0, lambda: [(PartialProduct([1, 1], top=1, shift=j), cuts[j])]
+
+    out = truncated_sum([(0, 1, 1), (-1, -1, -1)], at, 10, "test sum")
+    want = sum_series([Series({j: 1, j + 1: 1}, c) for j, c in cuts.items()])
+    assert out.cutoff == want.cutoff == 6
+    assert out.terms == want.terms == {-1: 1, 0: 2, 1: 2, 2: 1}
 
 
 def test_truncated_sum_stops_at_last():
