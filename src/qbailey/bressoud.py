@@ -33,64 +33,33 @@ from __future__ import annotations
 
 from .errors import BadParam, PoleError
 from .qparams import Q, QParam
-from .qfunctions import FactorProduct, fp_pp, poch_val, sign, truncated_sum
+from .qfunctions import FactorProduct, fp_pp, sign, truncated_sum
 from .multisum import MultisumSpec, multisum_eval
 from .corollaries import _geom
 from .series import INF, Series
 
 
-def _pp_floor(p: QParam, s: int):
-    """Certified valuation (halves) of (p)_s / p^s; (-1)^s q^C(s,2) at p = oo."""
-    if p.is_infinite:
-        return s * (s - 1)
-    v, kind = poch_val(p, s)
-    if kind == "zero":
-        return INF
-    if kind == "pole":
-        raise PoleError(f"({p})_{s} pole")
-    return v - s * p.halves
-
-
-def _recip_floor(p: QParam, s: int):
-    if p.is_zero:
-        return 0
-    v, kind = poch_val(p, s)
-    if kind == "pole":
-        return INF  # the reciprocal is exactly zero
-    if kind == "zero":
-        raise PoleError(f"1/({p})_{s} pole")
-    return -v
-
-
-def _poch_floor(p: QParam, s: int):
-    if p.is_zero:
-        return 0
-    v, kind = poch_val(p, s)
-    if kind == "zero":
-        return INF
-    if kind == "pole":
-        raise PoleError(f"({p})_{s} pole")
-    return v
-
-
-def _jsum(a: QParam, b: QParam, coeff_fp_fn, floor_fn, cutoff):
+def _jsum(a: QParam, b: QParam, coeff, cutoff):
     """(a/b)_oo sum_{j >= 0} coeff(j), cut off by ``qfunctions.truncated_sum``'s
     stop rule.
 
-    floor_fn(j) bounds the valuation of coeff(j); coeff_fp_fn(j) returns it
-    as a FactorProduct, annihilated for a zero term.  Term j divides by (b - a q^j),
-    so b = a q^j0 with j0 >= 0 makes (a/b)_oo vanish exactly where term j0
-    has a pole; that 0 * oo raises ``PoleError`` rather than evaluating to
-    the zero series.
+    coeff(j) returns term j as a FactorProduct, annihilated for a zero term;
+    its valuation is the term's floor.  Term j divides by (b - a q^j), so
+    b = a q^j0 with j0 >= 0 makes (a/b)_oo vanish exactly where term j0 has a
+    pole; that 0 * oo raises ``PoleError`` rather than evaluating to the zero
+    series.
     """
     pre = FactorProduct().times_poch(a / b, INF)
     if b.is_finite and pre.val_bound() == INF:
         raise PoleError(f"master rhs: {b} collides with a q^j")
 
     def jsum(c):
-        return truncated_sum([(0, 1, INF)],
-                             lambda j: (floor_fn(j), lambda: [coeff_fp_fn(j).part(c)]),
-                             c, "master rhs: j-sum did not truncate").truncate(c)
+        def at(j):
+            fp = coeff(j)
+            return fp.val_bound(), lambda: [fp.part(c)]
+
+        return truncated_sum([(0, 1, INF)], at, c,
+                             "master rhs: j-sum did not truncate").truncate(c)
 
     return pre.series_times(jsum, cutoff)
 
@@ -107,17 +76,6 @@ def _times_a_quotient(fp, a: QParam, j: int):
     return fp.times_poch(a.q_shift(2 * j), INF, den=True)
 
 
-def _a_quotient_floor(a: QParam, j: int):
-    arg = a.q_shift(2 * j)
-    v, kind = poch_val(arg, INF)
-    if kind == "zero":
-        t0 = -arg.halves // 2
-        vh, _ = poch_val(arg, t0)
-        vt, _ = poch_val(arg.q_shift(2 * (t0 + 1)), INF)
-        return -(vh + vt)  # the split-off zero factor cancels a bracket zero
-    return -v
-
-
 def _bracket_all_inf(fp, a: QParam, j: int, top: int):
     """Install 1 - X^{top+1} = (1 - X) G_top(X) in cancellable factored form."""
     fp.times_factor(a, 4 * j)
@@ -125,9 +83,31 @@ def _bracket_all_inf(fp, a: QParam, j: int, top: int):
     return fp
 
 
-def _bracket_all_inf_floor(a: QParam, j: int, top: int):
-    h = a.halves + 4 * j
-    return min(0, h) + min(0, top * h)
+def _master_parts(k, r, a, c1, c2, bs):
+    """What both multisum forms share: ``link(acc, d, gap)``, 1/(q)_gap times
+    the coupling (a/(b_d b'))_gap of the pair (b_d, b_{2r+1-d}) at d <= r, and
+    ``last(acc, s)``, the innermost level's (aq/c1c2)_s / (q, aq/c1, aq/c2)_s,
+    times the coupling (a/(b_r b'))_s of the virtual level r (where s_r = 0)
+    when r = k."""
+    couplings = {d: (a / bs[d - 1]) / bs[2 * r - d] for d in range(2, r + 1)}
+    aq_c1 = a.q_shift(2) / c1
+    aq_c2 = a.q_shift(2) / c2
+    aq_c1c2 = aq_c1 / c2
+
+    def link(acc, d, gap):
+        acc.times_poch(Q, gap, den=True)
+        if d in couplings:
+            acc.times_poch(couplings[d], gap)
+
+    def last(acc, s):
+        if r == k:
+            acc.times_poch(couplings[r], s)
+        acc.times_poch(aq_c1c2, s)
+        acc.times_poch(Q, s, den=True)
+        acc.times_poch(aq_c1, s, den=True)
+        acc.times_poch(aq_c2, s, den=True)
+
+    return link, last
 
 
 def _master_validate(k, r, a, c1, c2, bs):
@@ -164,9 +144,7 @@ def bressoud_lhs(k, r, a, c1, c2, bs, cutoff) -> Series:
     _master_validate(k, r, a, c1, c2, bs)
     depth = k - 1
     virtual = (r == k)  # level r exists only as s_r = 0: its couplings survive
-    aq_c1 = a.q_shift(2) / c1
-    aq_c2 = a.q_shift(2) / c2
-    aq_c1c2 = aq_c1 / c2
+    link, last = _master_parts(k, r, a, c1, c2, bs)
 
     def pair_params(d):
         return bs[d - 1], bs[2 * r - d]
@@ -182,62 +160,25 @@ def bressoud_lhs(k, r, a, c1, c2, bs, cutoff) -> Series:
             e += 2 * s * s
         return e
 
-    # the (a/b b')_{s_{d-1}-s_d} couplings can have negative valuation; their
-    # worst drift is linear in s_{d-1} and is charged to the outer level.
-    coupling_drop = [0] * (depth + 2)
-    for d in range(2, r + 1):
-        p1, p2 = pair_params(d)
-        ab = (a / p1) / p2
-        if ab.is_finite and ab.halves < 0:
-            coupling_drop[min(d - 1, depth)] += ab.halves
-
-    def level_floor(d, s):
-        e = expo(d, s) + a.halves * s
-        if d == 1:
-            e += _pp_floor(bs[0], s)
-        elif d <= r:
-            p1, p2 = pair_params(d)
-            e += _pp_floor(p1, s) + _pp_floor(p2, s)
-        if d == depth:
-            e += _recip_floor(aq_c1, s) + _recip_floor(aq_c2, s) + _poch_floor(aq_c1c2, s)
-        if coupling_drop[d]:
-            e += coupling_drop[d] * max(s, 0)
-        # the (a/b_d, a/b')_{s_{d-1}} denominators live at the outer level
-        if d + 1 <= r and (d + 1 <= depth or virtual):
-            q1, q2 = pair_params(d + 1)
-            e += _recip_floor(a / q1, s) + _recip_floor(a / q2, s)
-        return e
-
-    def level(d, prev, s):
-        fp = FactorProduct()
+    def level(fp, d, s):
         fp.times_param_pow(a, s)
         fp.times_qpow(expo(d, s))
         if d == 1:
             fp.times_scalar(sign(s))
             fp_pp(fp, bs[0], s)
-        else:
-            fp.times_poch(Q, prev - s, den=True)
-            if d <= r:
-                p1, p2 = pair_params(d)
-                fp_pp(fp, p1, s)
-                fp_pp(fp, p2, s)
-                fp.times_poch((a / p1) / p2, prev - s)
+        elif d <= r:
+            p1, p2 = pair_params(d)
+            fp_pp(fp, p1, s)
+            fp_pp(fp, p2, s)
         # the (a/b_d, a/b')_{s_{d-1}} denominators of the next pair, charged here
         if d + 1 <= r and (d + 1 <= depth or virtual):
             q1, q2 = pair_params(d + 1)
             fp.times_poch(a / q1, s, den=True)
             fp.times_poch(a / q2, s, den=True)
         if d == depth:
-            if virtual:  # the coupling of level r, where s_r = 0
-                p1, p2 = pair_params(r)
-                fp.times_poch((a / p1) / p2, s)
-            fp.times_poch(aq_c1c2, s)
-            fp.times_poch(Q, s, den=True)
-            fp.times_poch(aq_c1, s, den=True)
-            fp.times_poch(aq_c2, s, den=True)
-        return fp
+            last(fp, s)
 
-    spec = MultisumSpec(depth=depth, lower_bound=0, level=level, level_floor=level_floor)
+    spec = MultisumSpec(depth=depth, lower_bound=0, level=level, link=link)
     return multisum_eval(spec, cutoff)
 
 
@@ -289,23 +230,7 @@ def bressoud_rhs(k, r, a, c1, c2, bs, cutoff) -> Series:
                     fp.times_param_pow(b, -1).times_factor(a / b, 2 * j, den=True)
         return fp
 
-    def floor(j):
-        e = a.halves * k * j + 2 * (k - r) * j * j + 2 * j
-        for b in bs:
-            e += _pp_floor(b, j) + _recip_floor(a / b, j)
-        for c in (c1, c2):
-            e += _pp_floor(c, j) + _recip_floor(a.q_shift(2) / c, j)
-        e += _a_quotient_floor(a, j)
-        if all_inf:
-            e += _bracket_all_inf_floor(a, j, r - 1)
-        else:
-            num, den = _bracket(a, r, bs, j)
-            if num.is_zero_below_cutoff():
-                return INF
-            e += num.val() - den.val()
-        return e
-
-    return _jsum(a, bs[0], coeff, floor, cutoff)
+    return _jsum(a, bs[0], coeff, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +250,7 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
     per-chain infinite tails (a q^{s_{d-1}}/b_d, a q^{s_{d-1}}/b')_oo."""
     _master_validate(k, r, a, c1, c2, bs)
     depth = k - 1
-    virtual = (r == k)
-    aq_c1 = a.q_shift(2) / c1
-    aq_c2 = a.q_shift(2) / c2
-    aq_c1c2 = aq_c1 / c2
+    link, last = _master_parts(k, r, a, c1, c2, bs)
 
     def pair_params(d):
         return bs[d - 1], bs[2 * r - d]
@@ -336,9 +258,6 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
     def q1s(p: QParam, s: int):
         # (q^{1-s}/p)_s; every factor tends to 1 as p -> oo
         return None if p.is_infinite else (QParam.finite(1, 2 - 2 * s) / p, s)
-
-    def expo(d, s):
-        return a.halves * s + 2 * s * s - (2 * s if d <= r - 1 else 0)
 
     def tail_args(d, s_prev):
         # infinite products attached to the pair at level d, indexed by s_{d-1}
@@ -348,67 +267,19 @@ def bressoud_G(k, r, a, c1, c2, bs, cutoff) -> Series:
                 out.append(a.q_shift(2 * s_prev) / p)
         return out
 
-    coupling_drop = [0] * (depth + 2)
-    for d in range(2, r + 1):
-        p1, p2 = pair_params(d)
-        ab = (a / p1) / p2
-        if ab.is_finite and ab.halves < 0:
-            coupling_drop[d - 1] += ab.halves
-
-    def level_floor(d, s):
-        e = expo(d, s)
-        if coupling_drop[d]:
-            e += coupling_drop[d] * max(s, 0)
-        ins = q1s(bs[0], s) if d == 1 else None
-        if ins is not None:
-            e += _poch_floor(*ins)
-        if 2 <= d <= r:
-            for p in pair_params(d):
-                ins = q1s(p, s)
-                if ins is not None:
-                    e += _poch_floor(*ins)
-        if d == depth:
-            e += _recip_floor(aq_c1, s) + _recip_floor(aq_c2, s) + _poch_floor(aq_c1c2, s)
-        # tails at the next level are indexed by this level's value and are
-        # nondecreasing in it, so their value here is a certified floor
-        if d + 1 <= r:
-            for arg in tail_args(d + 1, s):
-                v, kind = poch_val(arg, INF)
-                e = INF if kind == "zero" else e + v
-                if e == INF:
-                    return INF
-        return e
-
-    def level(d, prev, s):
-        fp = FactorProduct()
+    def level(fp, d, s):
         fp.times_param_pow(a, s)
         fp.times_qpow(2 * s * s - (2 * s if d <= r - 1 else 0))
-        if d == 1:
-            ins = q1s(bs[0], s)
+        for p in [bs[0]] if d == 1 else pair_params(d) if d <= r else ():
+            ins = q1s(p, s)
             if ins is not None:
                 fp.times_poch(*ins)
-        else:
-            fp.times_poch(Q, prev - s, den=True)
         # the tails of the next pair are indexed by this level's value
         if d + 1 <= r:
             for arg in tail_args(d + 1, s):
                 fp.times_poch(arg, INF)
-        pairs = [(d, prev, s)] if 2 <= d <= r else []
-        if virtual and d == depth:
-            pairs.append((r, s, 0))  # the pair of the virtual level r, where s_r = 0
-        for dd, outer, inner in pairs:
-            p1, p2 = pair_params(dd)
-            fp.times_poch((a / p1) / p2, outer - inner)
-            for p in (p1, p2):
-                got = q1s(p, inner)
-                if got is not None:
-                    fp.times_poch(*got)
         if d == depth:
-            fp.times_poch(aq_c1c2, s)
-            fp.times_poch(Q, s, den=True)
-            fp.times_poch(aq_c1, s, den=True)
-            fp.times_poch(aq_c2, s, den=True)
-        return fp
+            last(fp, s)
 
-    spec = MultisumSpec(depth=depth, lower_bound=0, level=level, level_floor=level_floor)
+    spec = MultisumSpec(depth=depth, lower_bound=0, level=level, link=link)
     return multisum_eval(spec, cutoff)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BadParam, UnknownIdentity
 from .qparams import ONE, Q, QParam
-from .qfunctions import DenseSum, FactorProduct, poch_val, qbinom, sign, triple_part
+from .qfunctions import DenseSum, FactorProduct, qbinom, sign, triple_part
 from .multisum import MultisumSpec, multisum_eval
 from .series import INF, Series, first_diff
 from . import bressoud
@@ -121,41 +121,33 @@ def _need(cond, msg):
 # the two builders: chain multisums and product sides
 # ---------------------------------------------------------------------------
 
-def _chain_spec(depth, lb, expo, links=None, extra=None, last_upper=None,
-                extra_floor=None):
+def _chain_spec(depth, lb, expo, links=None, extra=None, last_upper=None):
     """Multisum over s_1 >= ... >= s_depth >= lb.
 
-    expo(d, s): halves of the q-power carried by s_d (certified floor as well).
+    expo(d, s): halves of the q-power carried by s_d.
     links: base halves b of the denominators (Q;Q)_{s_{d-1} - s_d}, Q = q^(b/2),
            one entry per link d = 2..depth, plus an optional last entry for
            the final denominator (Q;Q)_{s_depth}; default depth-1 links of
            base q and no final denominator.
     extra(fp, d, s): install level d's remaining factors, which depend on s_d
            alone, on the FactorProduct.
-    extra_floor(d, s): certified extra valuation carried by s_d.
     """
     link_bases = [2] * (depth - 1) if links is None else links
+    link_qs = [QParam.finite(1, b) for b in link_bases]
+    final = len(link_bases) == depth
 
-    def level(d, prev, s):
-        fp = FactorProduct().times_qpow(expo(d, s))
-        if d >= 2:
-            b = link_bases[d - 2]
-            fp.times_poch(QParam.finite(1, b), prev - s, base=b, den=True)
-        if d == depth and len(link_bases) == depth:
-            b = link_bases[-1]
-            fp.times_poch(QParam.finite(1, b), s, base=b, den=True)
+    def level(fp, d, s):
+        fp.times_qpow(expo(d, s))
+        if d == depth and final:
+            fp.times_poch(link_qs[-1], s, base=link_bases[-1], den=True)
         if extra is not None:
             extra(fp, d, s)
-        return fp
 
-    def level_floor(d, s):
-        e = expo(d, s)
-        if extra_floor is not None:
-            e += extra_floor(d, s)
-        return e
+    def link(fp, d, k):
+        fp.times_poch(link_qs[d - 2], k, base=link_bases[d - 2], den=True)
 
-    return MultisumSpec(depth=depth, lower_bound=lb, level=level,
-                        level_floor=level_floor, last_upper=last_upper)
+    return MultisumSpec(depth=depth, lower_bound=lb, level=level, link=link,
+                        last_upper=last_upper)
 
 
 def _mri(p):
@@ -437,16 +429,9 @@ def _b38_chain(r, i, last_base):
         if d == 1:
             fp.times_poch(_neg(2 - 4 * s), s, base=4)  # (-q^{1-2s_1};q^2)_{s_1}
 
-    def extra_floor(d, s):
-        # the insertion at s_1 dips below valuation 0 (exponents 1-2s_1, ...)
-        if d == 1:
-            v, _ = poch_val(_neg(2 - 4 * s), s, base=4)
-            return v
-        return 0
-
     return dict(depth=r - 1, lb=0,
                 expo=lambda d, s: 4 * (s * s + (s if d >= i + 1 else 0)),
-                links=[4] * (r - 2) + [last_base], extra=extra, extra_floor=extra_floor)
+                links=[4] * (r - 2) + [last_base], extra=extra)
 
 
 _family("b38", "doubled-base single-product family", (False, 0, -1),

@@ -96,43 +96,10 @@ def _corollary_lhs(pair, r, i, b, c, cutoff, bc):
     lb = int(lb)
     last_hi = beta.support_hi
 
-    def level_floor(d, s):
-        # halves of: a^s q^{s^2} (plain) or the bc exponents, chain factors >= 0
-        if bc and (d == 1 or d == r):
-            e = s * s + s - 2 * s * (1 if d <= i else 0) + a.halves * s
-            p = b if d == 1 else c
-            if p is not None and p.is_finite:
-                v, kind = poch_val(p, s)
-                if kind == "zero":
-                    return INF
-                e += v - s * p.halves
-            else:
-                e += s * (s - 1)
-            if d == r:
-                e += beta.val_bound(s)
-            return e
-        e = 2 * s * s - 2 * s * (1 if d <= i else 0) + a.halves * s
-        if d == r:
-            e += beta.val_bound(s)
-        return e
+    # the 1/(aq/c)_{s_{r-1}} factor of the bc variant, when c is finite
+    aq_c = a.q_shift(2) / c if bc and c is not None and c.is_finite else None
 
-    # the 1/(aq/c)_{s_{r-1}} factor can have negative valuation for negative
-    # index; account for it in the floor of level r-1 when c is finite.
-    aq_c = None
-    if bc and c is not None and c.is_finite:
-        aq_c = a.q_shift(2) / c
-
-    def level_floor_full(d, s):
-        e = level_floor(d, s)
-        if aq_c is not None and d == r - 1:
-            v, kind = poch_val(aq_c, s)
-            if kind == "pole":
-                raise PoleError(f"(aq/c)_{s} pole with aq/c = {aq_c}")
-            e -= v if kind != "zero" else 0
-        return e
-
-    def level(d, prev, s):
-        fp = FactorProduct()
+    def level(fp, d, s):
         fp.times_param_pow(a, s)
         if bc and (d == 1 or d == r):
             fp.times_qpow(s * s + s - 2 * s * (1 if d <= i else 0))
@@ -141,13 +108,13 @@ def _corollary_lhs(pair, r, i, b, c, cutoff, bc):
             fp_pp(fp, p if p is not None else QParam.infinity(), s)
         else:
             fp.times_qpow(2 * s * s - 2 * s * (1 if d <= i else 0))
-        if d >= 2:
-            fp.times_poch(Q, prev - s, den=True)
         if aq_c is not None and d == r - 1:
             fp.times_poch(aq_c, s, den=True)
-        return fp
 
-    spec = MultisumSpec(depth=r, lower_bound=lb, level=level, level_floor=level_floor_full,
+    def link(fp, d, k):
+        fp.times_poch(Q, k, den=True)
+
+    spec = MultisumSpec(depth=r, lower_bound=lb, level=level, link=link,
                         last_upper=None if last_hi == INF else int(last_hi), seed=beta)
     return multisum_eval(spec, cutoff)
 

@@ -2,14 +2,29 @@
 
 A ``MultisumSpec`` describes a sum over chains s_1 >= s_2 >= ... >= s_r >=
 lower_bound (optionally with a cap ``last_upper`` on the innermost index,
-e.g. where a q-binomial support truncates the chain) as per-level data.
-``level(d, prev, s)`` is the ``FactorProduct`` of what level d contributes
-when s_{d-1} = prev (None at d = 1) and s_d = s: its q-power, the link
-(Q;Q)_{prev-s}, and any factor or series that depends on the pair.  An
-optional ``seed`` sequence (a Bailey pair's beta) multiplies the last level
-by seed(s_r, c).  ``level_floor(d, s)`` must be a certified lower bound on
-the contribution of s_d = s to the valuation of the full term, so that
-val(term(s_1..s_r)) >= sum_d level_floor(d, s_d).
+e.g. where a q-binomial support truncates the chain) as per-level data, two
+functions that each multiply an accumulator they are given by factors:
+
+  level(acc, d, s)  level d's own factors in s = s_d: its q-power, its
+                    insertions, and any factor or series indexed by the
+                    level's value, including those a printed form indexes by
+                    s_d on the next level down;
+  link(acc, d, k)   level d's factors in k = s_{d-1} - s_d (d >= 2), such as
+                    (Q;Q)_k or (a/(b b'))_k.
+
+The term of a chain is the product of every level(d, s_d), every
+link(d, s_{d-1} - s_d) and, when there is a ``seed`` sequence (a Bailey
+pair's beta), seed(s_r, c).  The accumulators are ``qfunctions``'
+``FactorProduct`` for the term and ``Valuation`` for the floors.
+
+The walk derives its floors from the same code.  ``level_floor(d, s)`` is
+the valuation of level(d, s), plus the exact minimum of the valuation of
+link(d + 1, k) over 0 <= k <= s - lower_bound, plus seed.val_bound(s) at
+d = r, so that val(term(s_1..s_r)) >= sum_d level_floor(d, s_d).  The floors
+and the link minima are memoised per spec, the minima extended incrementally
+as s grows.  A (1 - x^0) factor counts as a unit in a floor, because the
+walk carries those factors as a count (below).  A spec may still name its
+own ``level_floor``: a tracer wraps the derived one that way.
 
 The walk is depth first.  It prunes a branch the moment the accumulated
 floor plus the best possible completion (``gmin``) reaches the cutoff, and
@@ -49,7 +64,7 @@ from itertools import accumulate, islice
 from math import isqrt
 
 from .errors import CertificateViolation, TruncationUnreachable
-from .qfunctions import DenseSum, PartialProduct
+from .qfunctions import DenseSum, FactorProduct, PartialProduct, Valuation
 from .series import INF, Series
 
 
@@ -80,15 +95,51 @@ def checked_leaf(chain, leaf: Leaf) -> Leaf:
     return leaf
 
 
+def _derived_floor(spec):
+    """``level_floor`` read off the spec's own ``level`` and ``link`` code by
+    running it into ``Valuation`` accumulators, memoised."""
+    level, link, r, lb, seed = spec.level, spec.link, spec.depth, spec.lower_bound, spec.seed
+    floors = {}
+    mins = [[] for _ in range(r + 1)]  # mins[d][k]: least val of link(d, k') over k' <= k
+
+    def link_min(d, k):
+        got = mins[d]
+        while len(got) <= k:
+            acc = Valuation()
+            link(acc, d, len(got))
+            got.append(min(acc.v, got[-1]) if got else acc.v)
+        return got[k]
+
+    def level_floor(d, s):
+        got = floors.get((d, s))
+        if got is None:
+            acc = Valuation()
+            level(acc, d, s)
+            got = acc.v
+            if d < r:
+                got += link_min(d + 1, s - lb)
+            elif seed is not None:
+                got += seed.val_bound(s)
+            floors[d, s] = got
+        return got
+
+    return level_floor
+
+
 @dataclass
 class MultisumSpec:
     depth: int
     lower_bound: int
-    level: object         # (d, prev, s) -> FactorProduct of level d's own factors
-    level_floor: object   # (d, s) -> halves, certified lower bound
+    level: object         # (acc, d, s): times level d's own factors in s = s_d
+    link: object          # (acc, d, k): times level d's factors in k = s_{d-1} - s_d
     last_upper: int | None = None
     seed: object = None   # sequence: seed(s, c) exact below c, seed.val_bound(s)
     term: object = checked_leaf  # (chain, Leaf) -> Leaf, the emission hook
+    level_floor: object = None   # (d, s) -> halves; derived from the levels when None
+
+    def __post_init__(self):
+        if self.level_floor is None:
+            self.level_floor = _derived_floor(self)
 
     def val_floor(self, chain):
         return sum(self.level_floor(d + 1, s) for d, s in enumerate(chain))
@@ -110,10 +161,10 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
 
     def visit(d, prev, sibs, parent):
         """Level d at each (s, acc) of ``sibs``, ascending in s; acc includes
-        level d's floor.  One running product carries parent * level(d, prev, s)
-        from sibling to sibling, where it changes by a few factors, with
-        as many entries as any later sibling needs; each sibling cuts its
-        own list from it."""
+        level d's floor.  One running product carries parent * level(d, s) *
+        link(d, prev - s) from sibling to sibling, where it changes by a few
+        factors, with as many entries as any later sibling needs; each
+        sibling cuts its own list from it."""
         needs = [cutoff - acc - gmin[d + 1] for _, acc in sibs]
         keep = list(accumulate(reversed(needs), max))[::-1]
         run = PartialProduct.one(keep[0]) if parent is None else parent
@@ -121,7 +172,10 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
         seed = spec.seed if d == r else None
         for (s, acc), n, k in zip(sibs, needs, keep):
             chain.append(s)
-            fp = spec.level(d, prev, s)
+            fp = FactorProduct()  # level(d, s) * link(d, prev - s)
+            spec.level(fp, d, s)
+            if d > 1:
+                spec.link(fp, d, prev - s)
             if not fp.annihilated:
                 run, last = run.times_ratio(fp, last, k), fp
             vb = 0 if seed is None else seed.val_bound(s)

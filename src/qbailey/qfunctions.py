@@ -48,6 +48,10 @@ transformed sequence, and every sum that ``truncated_sum`` cuts off (the
 Bailey relation and its inversion, j-sums and corollary sums).  Sparse
 ``Series`` multiplication stays for products of general series; the kernel
 is checked against it, ``Series.invert`` and ``oracle.py``.
+
+``Valuation`` takes the same ``times_*`` calls as a ``FactorProduct`` and
+keeps only the valuation they give; ``poch_val`` and it share one
+closed-form Pochhammer rule, ``_poch_rule``.
 """
 
 from __future__ import annotations
@@ -468,6 +472,28 @@ def _poch_monos(a: QParam, k, base: int, bound=None):
 # pochhammer symbols
 # ---------------------------------------------------------------------------
 
+def _poch_rule(a: QParam, k, base: int = 2):
+    """(v, zeros) of the factors (1 - c x^h) that ``FactorProduct.times_poch``
+    installs for (a;q^base)_k: v is the sum of min(0, h) over the numerator
+    factors less that over the denominator factors, in closed form, and
+    zeros the number of (1 - x^0) factors, negative in the denominator."""
+    if a.is_zero:
+        return 0, 0
+    if not a.is_finite:
+        raise BadParam("infinite parameter inside a Pochhammer symbol")
+    h = a.halves
+    if k == INF or k >= 0:
+        t = max(0, -(h // base))  # factors j < t have negative exponents h + j base
+        if k != INF:
+            t = min(t, k)
+        hits = h <= 0 and h % base == 0 and (k == INF or -h // base < k)
+        return t * h + base * (t * (t - 1) // 2), int(hits and a.coeff == 1)
+    lo = max(1, h // base + 1)  # factors l >= lo have negative exponents h - l base
+    n = max(0, -k - lo + 1)
+    hits = h % base == 0 and 1 <= h // base <= -k
+    return base * ((lo - k) * n // 2) - n * h, -int(hits and a.coeff == 1)
+
+
 def poch_val(a: QParam, k, base: int = 2):
     """(valuation_halves, kind) of (a;q^base)_k without building the series.
 
@@ -475,34 +501,11 @@ def poch_val(a: QParam, k, base: int = 2):
     (negative index with a vanishing denominator factor).  The valuation of a
     zero product == INF; a pole has no valuation (None).
     """
-    if a.is_zero:
-        return 0, "ok"
-    if not a.is_finite:
-        raise BadParam("infinite parameter inside a Pochhammer symbol")
-    c, h = a.coeff, a.halves
-    if k == INF:
-        if c == 1 and h <= 0 and h % base == 0:
-            return INF, "zero"
-        v = 0
-        j = 0
-        while h + j * base < 0:
-            v += h + j * base
-            j += 1
-        return v, "ok"
-    if k >= 0:
-        v = 0
-        for j in range(k):
-            d = h + j * base
-            if d == 0 and c == 1:
-                return INF, "zero"
-            v += min(0, d)
-        return v, "ok"
-    v = 0
-    for l in range(1, -k + 1):
-        d = h - l * base
-        if d == 0 and c == 1:
-            return None, "pole"
-        v -= min(0, d)
+    v, zeros = _poch_rule(a, k, base)
+    if zeros > 0:
+        return INF, "zero"
+    if zeros < 0:
+        return None, "pole"
     return v, "ok"
 
 
@@ -578,9 +581,9 @@ def esym(M: int, values) -> Series:
     for v in vals:
         if v.is_zero:
             continue
-        mono = v.monomial()
+        p = v.pow(1)  # raises for an infinite parameter
         for k in range(min(M, len(vals)), 0, -1):
-            e[k] = e[k] + e[k - 1] * mono
+            e[k] = e[k] + e[k - 1].times_monomial(p.coeff, p.halves)
     return e[M]
 
 
@@ -870,3 +873,56 @@ class FactorProduct:
             for p, base, inv in self.infs:
                 (den if inv else num).update(_poch_monos(p, INF, base, bound)[0])
         return num, den, seed
+
+
+class Valuation:
+    """The valuation (halves) of what the same ``times_*`` calls build as a
+    ``FactorProduct``, kept as one number: the monomial's halves, plus
+    min(0, h) for each numerator factor (1 - c x^h) less that of each
+    denominator factor, plus the ``extras``' valuations; INF once a factor
+    annihilates the product.  Nothing cancels, so a (1 - x^0) factor counts
+    as a unit: a multisum walk carries those factors as a count across its
+    levels, and its level floors are read off the levels' own code this way
+    (see ``multisum``)."""
+
+    __slots__ = ("v",)
+
+    def __init__(self):
+        self.v = 0
+
+    def times_scalar(self, c):
+        if c == 0:
+            self.v = INF
+        return self
+
+    def times_qpow(self, halves: int):
+        self.v += halves
+        return self
+
+    def times_param_pow(self, p: QParam, n: int):
+        if p.is_zero:
+            if n < 0:
+                raise BadParam("negative power of the zero parameter")
+            if n > 0:
+                self.v = INF
+        elif not p.is_finite:
+            raise BadParam("monomial power of an infinite parameter")
+        else:
+            self.v += p.halves * n
+        return self
+
+    def times_factor(self, p: QParam, offset_halves: int = 0, den: bool = False):
+        if not p.is_finite and not p.is_zero:
+            raise BadParam("factor with infinite parameter")
+        h = 0 if p.is_zero else min(0, p.halves + offset_halves)
+        self.v += -h if den else h
+        return self
+
+    def times_poch(self, p: QParam, k, base: int = 2, den: bool = False):
+        v = _poch_rule(p, k, base)[0]
+        self.v += -v if den else v
+        return self
+
+    def times_series(self, s: Series):
+        self.v += s.val()
+        return self

@@ -308,17 +308,17 @@ def f_direct(N: int, j: int, n: int, a: QParam, bs) -> Series:
     if not a.is_finite:
         raise BadParam("f_direct needs a finite relative parameter")
     neg = [-b for b in bs]
-    out = Series.zero()
+    total = DenseSum(INF)
     for M in range(0, N + 1):
         eM = esym(M, neg)
         if eM.is_zero_below_cutoff():
             continue
         for u in range(max(0, j - M), min(j, N - M) + 1):
-            expo = 2 * ((M - j + u) * (n - j + u) + u * (n - N))
-            t = qbinom(M, j - u) * qbinom(N - M, u) * eM
-            t = t * a.monomial(u)
-            out = out + t.times_monomial(1, expo)
-    return out
+            fp = FactorProduct().times_param_pow(a, u)
+            fp.times_qpow(2 * ((M - j + u) * (n - j + u) + u * (n - N)))
+            fp.times_series(qbinom(M, j - u) * qbinom(N - M, u))
+            total.add(*fp.part(INF, eM))
+    return total.series()
 
 
 def _ratio_j(a: QParam, N: int, n: int, j: int) -> FactorProduct:

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from qbailey import cli
-from qbailey.errors import InvertZero, PoleError
+from qbailey.errors import BadParam, InvertZero, PoleError
 from qbailey.oracle import DenseSeries, dense_invert, dense_mul, sum_series
-from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, _expand, _kernel,
-                               poch, poch_recip, poch_val)
+from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, Valuation, _expand,
+                               _kernel, poch, poch_recip, poch_val)
 from qbailey.qparams import QParam
 from qbailey.series import INF, Series, product_at
 
@@ -364,3 +364,60 @@ def test_dense_sum_of_nothing_keeps_its_cutoff():
     assert got.cutoff == 17 and not got.terms
     total.add(PartialProduct([]), 9)  # zero, known only below x^9
     assert total.series().cutoff == 9
+
+
+# ---------------------------------------------------------------------------
+# the valuation accumulator and poch_val against the FactorProduct they read
+# ---------------------------------------------------------------------------
+
+# c = 1 at an exponent on the base's lattice gives (1 - x^0) factors
+params = st.one_of(st.builds(QParam.finite, st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                             st.integers(-8, 8)),
+                   st.just(QParam.zero()))
+indices = st.one_of(st.integers(-6, 6), st.just(INF))
+times_calls = st.one_of(
+    st.tuples(st.just("times_scalar"), st.sampled_from([1, -2, Fraction(1, 3), 0])),
+    st.tuples(st.just("times_qpow"), st.integers(-6, 6)),
+    st.tuples(st.just("times_param_pow"), params, st.integers(-3, 3)),
+    st.tuples(st.just("times_factor"), params, st.integers(-6, 6), st.booleans()),
+    st.tuples(st.just("times_poch"), params, indices, st.sampled_from([2, 4]), st.booleans()),
+    st.tuples(st.just("times_series"),
+              st.dictionaries(st.integers(-4, 6), coeffs, max_size=3).map(Series)))
+
+
+def _rule(fp):
+    """halves + sum of min(0, h) over the numerator factors, less over the
+    denominator factors, + the extras' valuations; INF when annihilated."""
+    if fp.annihilated:
+        return INF
+    return (fp.halves + sum(min(0, h) * n for (_, h), n in fp.num.items())
+            - sum(min(0, h) * n for (_, h), n in fp.den.items())
+            + sum(s.val() for s in fp.extras))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(times_calls, max_size=6))
+def test_the_valuation_accumulator_reads_the_factor_product(calls):
+    fp, acc = FactorProduct(), Valuation()
+    for name, *args in calls:
+        try:
+            getattr(fp, name)(*args)
+        except BadParam:
+            with pytest.raises(BadParam):
+                getattr(acc, name)(*args)
+            return
+        getattr(acc, name)(*args)
+    assert acc.v == _rule(fp)
+    # a (1 - x^0) counts as a unit; it cancels, or is a pole, in the product
+    if fp.num[1, 0] <= fp.den[1, 0]:
+        assert acc.v == fp.val_bound()
+
+
+@settings(max_examples=100, deadline=None)
+@given(params, indices, st.sampled_from([2, 4]))
+def test_poch_val_reads_the_factors_times_poch_installs(p, k, base):
+    fp = FactorProduct().times_poch(p, k, base)
+    zeros = fp.num[1, 0] - fp.den[1, 0]
+    want = ((INF, "zero") if zeros > 0 else (None, "pole") if zeros < 0
+            else (_rule(fp), "ok"))
+    assert poch_val(p, k, base) == want

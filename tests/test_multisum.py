@@ -9,20 +9,23 @@ from hypothesis import given, settings, strategies as st
 from qbailey.errors import CertificateViolation, PoleError
 from qbailey.multisum import MultisumSpec, multisum_eval
 from qbailey.qparams import QParam
-from qbailey.qfunctions import FactorProduct, poch_val
+from qbailey.qfunctions import FactorProduct
 from qbailey.oracle import sum_series
 from qbailey.series import INF, Series
 
 Q = QParam.finite(1, 2)
 
 
-def _rr_level(d, prev, s):
-    return FactorProduct().times_qpow(2 * s * s).times_poch(Q, s, den=True)
+def _rr_level(acc, d, s):
+    acc.times_qpow(2 * s * s).times_poch(Q, s, den=True)
+
+
+def _q_link(acc, d, k):
+    acc.times_poch(Q, k, den=True)
 
 
 def test_single_sum_matches_partition_counts():
-    spec = MultisumSpec(depth=1, lower_bound=0, level=_rr_level,
-                        level_floor=lambda d, s: 2 * s * s)
+    spec = MultisumSpec(depth=1, lower_bound=0, level=_rr_level, link=_q_link)
     got = multisum_eval(spec, 20)
     assert [got.terms.get(2 * n, 0) for n in range(10)] == \
         [1, 1, 1, 1, 2, 2, 3, 3, 4, 5]
@@ -30,8 +33,7 @@ def test_single_sum_matches_partition_counts():
 
 def test_empty_chain_range_gives_zero():
     spec = MultisumSpec(depth=2, lower_bound=3,
-                        level=lambda d, prev, s: FactorProduct(),
-                        level_floor=lambda d, s: 2 * s * s,
+                        level=lambda acc, d, s: acc.times_qpow(2 * s * s), link=_q_link,
                         last_upper=1)  # lower bound above the cap: no chains
     got = multisum_eval(spec, 10)
     assert got.is_zero_below_cutoff()
@@ -41,20 +43,18 @@ def test_empty_chain_range_gives_zero():
 def test_double_sum_with_delta_weight_collapses_to_single():
     # the two-fold chain weighted by a delta at the inner index collapses to
     # the single sum (the inner variable is pinned to zero)
-    def level(d, prev, s):
-        fp = FactorProduct().times_qpow(2 * s * s)
+    def level(acc, d, s):
+        acc.times_qpow(2 * s * s)
         if d == 2:
             if s != 0:
-                return fp.times_scalar(0)
-            fp.times_poch(Q, prev - s, den=True).times_poch(Q, s, den=True)
-            fp.times_qpow(2 * s)
-        return fp
+                acc.times_scalar(0)
+                return
+            acc.times_poch(Q, s, den=True)
+            acc.times_qpow(2 * s)
 
-    spec = MultisumSpec(depth=2, lower_bound=0, level=level,
-                        level_floor=lambda d, s: 2 * s * s, last_upper=0)
+    spec = MultisumSpec(depth=2, lower_bound=0, level=level, link=_q_link, last_upper=0)
     double = multisum_eval(spec, 40)
-    single = MultisumSpec(depth=1, lower_bound=0, level=_rr_level,
-                          level_floor=lambda d, s: 2 * s * s)
+    single = MultisumSpec(depth=1, lower_bound=0, level=_rr_level, link=_q_link)
     assert multisum_eval(single, 40).terms == double.terms
 
 
@@ -98,12 +98,8 @@ def specs(draw):
             [draw(levels(d)) for d in range(1, depth + 1)], draw(st.integers(1, 48)))
 
 
-def _factor(fp, c, h, den):
-    fp.times_factor(QParam.finite(c, h), den=den)
-
-
-def _factor_floor(c, h, den):
-    return -min(0, h) if den else min(0, h)
+def _factor(acc, c, h, den):
+    acc.times_factor(QParam.finite(c, h), den=den)
 
 
 class _Seed:
@@ -121,43 +117,26 @@ class _Seed:
 
 
 def _build(depth, lb, last_upper, final, seed_terms, data):
-    def level(d, prev, s):
+    def level(acc, d, s):
         lv = data[d - 1]
-        fp = FactorProduct().times_qpow(6 * s * s + lv["beta"] * s)
-        if lv["link"]:
-            b = lv["link"]
-            fp.times_poch(QParam.finite(1, b), prev - s, base=b, den=True)
+        acc.times_qpow(6 * s * s + lv["beta"] * s)
         for c, h0, k, den in lv["on_s"]:
-            _factor(fp, c, h0 + k * s, den)
-        for c, h0, k, den in lv["on_prev"]:
-            _factor(fp, c, h0 + k * prev, den)
-        for c, h0, k, base, den in lv["tails"]:
-            fp.times_poch(QParam.finite(c, h0 + k * prev), INF, base=base, den=den)
-        if d == depth and final:
-            fp.times_poch(QParam.finite(1, final), s, base=final, den=True)
-        return fp
-
-    def level_floor(d, s):
-        lv = data[d - 1]
-        e = 6 * s * s + lv["beta"] * s
-        e += sum(_factor_floor(c, h0 + k * s, den) for c, h0, k, den in lv["on_s"])
-        if d < depth:  # the next level's factors in s_{d+1}'s predecessor
+            _factor(acc, c, h0 + k * s, den)
+        if d < depth:  # the next level's factors in its predecessor s_d
             nxt = data[d]
-            e += sum(_factor_floor(c, h0 + k * s, den) for c, h0, k, den in nxt["on_prev"])
+            for c, h0, k, den in nxt["on_prev"]:
+                _factor(acc, c, h0 + k * s, den)
             for c, h0, k, base, den in nxt["tails"]:
-                v, _ = poch_val(QParam.finite(c, h0 + k * s), INF, base)
-                e += -v if den else v
-        if d == depth and final and s < 0:
-            # 1/(x^f; x^f)_s = (x^(f + f s); x^f)_(-s): zero through its last
-            # factor (1 - x^0), but a pole on the chain may cancel that one,
-            # leaving the others' negative exponents
-            e += sum(range(final * (s + 1), 0, final))
-        if d == depth and seed_terms:
-            e += min(seed_terms) + 2 * s
-        return e
+                acc.times_poch(QParam.finite(c, h0 + k * s), INF, base=base, den=den)
+        if d == depth and final:
+            acc.times_poch(QParam.finite(1, final), s, base=final, den=True)
+
+    def link(acc, d, k):
+        b = data[d - 1]["link"]
+        acc.times_poch(QParam.finite(1, b), k, base=b, den=True)
 
     seed = _Seed(seed_terms) if seed_terms else None
-    spec = MultisumSpec(depth=depth, lower_bound=lb, level=level, level_floor=level_floor,
+    spec = MultisumSpec(depth=depth, lower_bound=lb, level=level, link=link,
                         last_upper=last_upper, seed=seed)
     return spec, seed
 
@@ -176,24 +155,38 @@ def _chains(depth, lb, last_upper, hi):
     return rec([])
 
 
+def _chain_product(spec, chain):
+    """One chain's FactorProduct, built from scratch by the spec's level and
+    link functions."""
+    fp = FactorProduct()
+    for d, s in enumerate(chain, 1):
+        spec.level(fp, d, s)
+        if d > 1:
+            spec.link(fp, d, chain[d - 2] - s)
+    return fp
+
+
 def _reference(spec, seed, cutoff):
     """The sum over chains of one FactorProduct each, built from scratch:
-    every chain whose floor lies below the cutoff, in a box wide enough that
-    the quadratic floors of all others pass it."""
+    every chain whose own product valuation lies below the cutoff, in a box
+    s_1 <= 6 wide enough that the valuations of all others pass the largest
+    cutoff, 48.  At s_1 = 6 level 1's q-power is at least 6 * 36 - 3 * 6 =
+    198; the other q-powers are >= 0, and the factors (>= -8 each, six on
+    s and two on s_{d-1}), the tails (>= -20 each), the final denominator
+    (>= -2) and the seed (>= -6) take off at most 112; all of it only grows
+    with s_1.  No chain on the box's edge may lie below the cutoff."""
     out = []
-    for chain in _chains(spec.depth, spec.lower_bound, spec.last_upper, 12):
-        if spec.val_floor(chain) >= cutoff:
+    for chain in _chains(spec.depth, spec.lower_bound, spec.last_upper, 6):
+        fp = _chain_product(spec, chain)
+        s = chain[-1]
+        vb = 0 if seed is None else seed.val_bound(s)
+        if fp.val_bound() + vb >= cutoff:
             continue
-        fp = FactorProduct()
-        prev = None
-        for d, s in enumerate(chain, 1):
-            fp.times(spec.level(d, prev, s))
-            prev = s
+        assert chain[0] < 6, "the box is too narrow"
         if seed is None:
             out.append(fp.series(cutoff))
         else:
-            s = chain[-1]
-            out.append(fp.series_times(lambda c: seed(s, c), cutoff, seed.val_bound(s)))
+            out.append(fp.series_times(lambda c: seed(s, c), cutoff, vb))
     return sum_series(out, cutoff)
 
 
@@ -214,27 +207,21 @@ def test_seeded_walk_equals_the_per_chain_sum(drawn):
 
 
 def _split_unit_spec(outer, inner):
-    """Depth 2 with q^(4 s^2): level 1 carries (1 - x^(2 s_1 - 2))^(+-1) per
-    ``outer``, level 2 carries (1 - x^(2 s_1 - 2))^(+-1) per ``inner`` (a
-    factor in s_{d-1}); each is (1 - x^0) at s_1 = 1."""
-    def level(d, prev, s):
-        fp = FactorProduct().times_qpow(4 * s * s)
+    """Depth 2 with q^(4 s^2) and s_2 = 0: level 1 carries
+    (1 - x^(2 s_1 - 2))^(+-1) per ``outer``, level 2's link carries
+    (1 - x^(2 k - 2))^(+-1) per ``inner``, where k = s_1 - s_2 = s_1; each
+    is (1 - x^0) at s_1 = 1."""
+    def level(acc, d, s):
+        acc.times_qpow(4 * s * s)
         if d == 1 and outer is not None:
-            _factor(fp, Fraction(1), 2 * s - 2, outer)
-        if d == 2:
-            fp.times_poch(Q, prev - s, den=True)
-            if inner is not None:
-                _factor(fp, Fraction(1), 2 * prev - 2, inner)
-        return fp
+            _factor(acc, Fraction(1), 2 * s - 2, outer)
 
-    def level_floor(d, s):
-        e = 4 * s * s
-        if d == 1:
-            e += sum(_factor_floor(1, 2 * s - 2, den) for den in (outer, inner)
-                     if den is not None)
-        return e
+    def link(acc, d, k):
+        acc.times_poch(Q, k, den=True)
+        if inner is not None:
+            _factor(acc, Fraction(1), 2 * k - 2, inner)
 
-    return MultisumSpec(depth=2, lower_bound=0, level=level, level_floor=level_floor)
+    return MultisumSpec(depth=2, lower_bound=0, level=level, link=link, last_upper=0)
 
 
 def test_a_zero_and_a_pole_on_different_levels_cancel():
@@ -261,18 +248,19 @@ def test_an_uncancelled_pole_raises():
 # the emission hook, wrapped the way a tracer wraps it
 # ---------------------------------------------------------------------------
 
-def _ag_level(d, prev, s):
+def _ag_level(acc, d, s):
     """Depth 2: q^(s_1^2 + s_2^2) / ((q)_{s_1-s_2} (q)_{s_2}), with a rational
-    factor (1 - 2/3 q^(s_2 + 1/2)) on the inner level."""
-    fp = FactorProduct().times_qpow(2 * s * s)
+    factor (1 - 2/3 q^(s_2 + 1/2)) on the inner level; the link is
+    1/(q)_{s_1-s_2}."""
+    acc.times_qpow(2 * s * s)
     if d == 2:
-        fp.times_poch(Q, prev - s, den=True).times_poch(Q, s, den=True)
-        fp.times_factor(QParam.finite(Fraction(2, 3), 2 * s + 1))
-    return fp
+        acc.times_poch(Q, s, den=True)
+        acc.times_factor(QParam.finite(Fraction(2, 3), 2 * s + 1))
 
 
-def _ag_spec(level_floor=lambda d, s: 2 * s * s):
-    return MultisumSpec(depth=2, lower_bound=0, level=_ag_level, level_floor=level_floor)
+def _ag_spec(level_floor=None):
+    return MultisumSpec(depth=2, lower_bound=0, level=_ag_level, link=_q_link,
+                        level_floor=level_floor)
 
 
 def _traced(spec, cutoff):
@@ -297,12 +285,11 @@ def test_a_wrapped_hook_sees_every_chain_once_and_leaves_the_sum_alone():
     chains = [c for c in _chains(2, 0, None, 12) if spec.val_floor(c) < cutoff]
     want = {}
     for chain in chains:
-        t = _ag_level(1, None, chain[0]).times(_ag_level(2, chain[0], chain[1])).series(cutoff)
+        t = _chain_product(spec, chain).series(cutoff)
         want[chain] = min(t.terms) if t.terms else None
     assert got.cutoff == plain.cutoff == cutoff and got.terms == plain.terms
     assert got.terms == sum_series(
-        [_ag_level(1, None, a).times(_ag_level(2, a, b)).series(cutoff) for a, b in chains],
-        cutoff).terms
+        [_chain_product(spec, c).series(cutoff) for c in chains], cutoff).terms
     assert sorted(c for c, _ in calls) == sorted(chains)  # once per emitted chain
     assert dict(calls) == want  # min(t.terms) is the chain's term valuation
     assert all(v == spec.val_floor(c) for c, v in calls)
