@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import BadParam, QBaileyError
 from .qparams import QParam
-from .pairs import make_pair, pairs_agree, verify_pair
-from .qfunctions import DenseSum, FactorProduct
+from .pairs import BaileyPair, make_pair, pairs_agree, verify_pair
+from .qfunctions import FactorProduct
 from . import transforms as T
 
 _COEFF_POOL = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2),
@@ -162,20 +162,10 @@ def transform_check(name, trials=5, seed=0, cutoff=60, n_min=-6, n_max=6):
 def _scaled_pair_combo(p1, c1, p2, c2):
     """Componentwise c1*pair1 + c2*pair2 as evaluated sequences; c1 and c2
     are FactorProducts."""
-    from .pairs import BaileyPair, BilateralSequence
-
     def combine(s1, s2, which):
-        def ev(n, c):
-            total = DenseSum(c)
-            total.add(*s1.part(c1, n, c))
-            total.add(*s2.part(c2, n, c))
-            return total.series()
-
-        lo = min(s1.support_lo, s2.support_lo)
-        hi = max(s1.support_hi, s2.support_hi)
-        vb = lambda n: min(s1.val_bound(n) + c1.val_bound(),
-                           s2.val_bound(n) + c2.val_bound())
-        return BilateralSequence(ev, vb, (lo, hi), name=f"combo.{which}")
+        return T._seq_from_plans(lambda n: [(c1, s1, n), (c2, s2, n)],
+                                 (min(s1.support_lo, s2.support_lo),
+                                  max(s1.support_hi, s2.support_hi)), f"combo.{which}")
 
     return BaileyPair(p1.a, combine(p1.alpha, p2.alpha, "alpha"),
                       combine(p1.beta, p2.beta, "beta"), label="combo")

@@ -1,4 +1,4 @@
-"""Nested q-multisums as seeded kernel passes down the chain tree.
+"""Nested q-multisums as the kernel's steps, spread down the chain tree.
 
 A ``MultisumSpec`` describes a sum over chains s_1 >= s_2 >= ... >= s_r >=
 lower_bound (optionally with a cap ``last_upper`` on the innermost index,
@@ -32,13 +32,18 @@ extends the unbounded outermost index until its floor is past its vertex
 and out of range.  Each node carries the kernel's own state, a
 ``qfunctions.PartialProduct``: one dense int list over a common
 denominator, with its scalar, shift and length, for the product of the
-levels chosen so far.  Level d applies only its own factors to a copy of
-its parent's list, cut to cutoff - (floors of levels 1..d) - gmin[d+1]
-entries, the most that its completions can still bring below the cutoff.
-The siblings of a node share one running product: from s_d to the next
-s_d the level's factors change by a few (one more link factor, one less),
-so the running list is updated by that quotient and each sibling cuts its
-own list from it.
+levels chosen so far.  A term is expanded in the steps that
+``FactorProduct.part`` takes for a single product -- ``PartialProduct.of``
+lists 1, ``times_ratio`` applies the finite factors, ``times_rest`` the
+infinite tails and the series, ``times_series`` the seed's value, and
+``exact_below`` states the cutoff -- only spread over the levels.  Level d
+applies only its own factors to a copy of its parent's list, cut to
+cutoff - (floors of levels 1..d) - gmin[d+1] entries, the most that its
+completions can still bring below the cutoff.  The siblings of a node share
+one running product: from s_d to the next s_d the level's factors change by
+a few (one more link factor, one less), so the running list is updated by
+that quotient (``times_ratio`` of one level's product over the last) and
+each sibling cuts its own list from it.
 
 A factor (1 - c x^h) with h != 0 is a unit, so applying it, or dividing it
 back out, level by level is exact.  Only (1 - x^0) factors need the
@@ -167,7 +172,7 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
         sibling cuts its own list from it."""
         needs = [cutoff - acc - gmin[d + 1] for _, acc in sibs]
         keep = list(accumulate(reversed(needs), max))[::-1]
-        run = PartialProduct.one(keep[0]) if parent is None else parent
+        run = PartialProduct.of(Series.one(), keep[0]) if parent is None else parent
         last = None
         seed = spec.seed if d == r else None
         for (s, acc), n, k in zip(sibs, needs, keep):
@@ -196,7 +201,7 @@ def multisum_eval(spec: MultisumSpec, cutoff) -> Series:
                 part = PartialProduct(None)
             elif not part.zeros:
                 part = part.times_series(seed(s, cutoff - part.shift), cutoff)
-        cut = cutoff if part.a is None else min(cutoff, part.shift + len(part.a))
+        cut = part.exact_below(cutoff)
         leaf = spec.term(tuple(chain), Leaf(part, cut, spec.val_floor(chain)))
         total.add(leaf.part, leaf.cutoff)
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import BadParam, CertificateViolation, PoleError
 from .qparams import Q, QParam
-from .qfunctions import DenseSum, FactorProduct, poch, poch_val, qbinom, sign, truncated_sum
+from .qfunctions import DenseSum, FactorProduct, poch_val, qbinom, sign, truncated_sum
 from .series import INF, Series, first_diff
 
 
@@ -278,21 +279,20 @@ def _shifted_pair(m: int) -> BaileyPair:
     # Relative to a = q^m; genuinely bilateral (alpha never vanishes).
     if m < 0:
         raise BadParam("shifted pair needs m >= 0")
-    qm = poch(Q, m)
 
     def alpha(n, cutoff):
         return Series.monomial(sign(n), n * (n - 1))
 
-    def beta(n, cutoff):
-        b = qbinom(m + n, m + 2 * n)
-        if b.is_zero_below_cutoff():
-            return Series.zero()
-        return (b * qm).times_monomial(sign(n), n * (n - 1))
+    @cache
+    def beta(n):
+        # an exact polynomial: one value serves every cutoff
+        fp = FactorProduct().times_scalar(sign(n)).times_qpow(n * (n - 1)).times_poch(Q, m)
+        return fp.times_series(qbinom(m + n, m + 2 * n)).series(None)
 
     return BaileyPair(
         QParam.finite(1, 2 * m),
         BilateralSequence(alpha, lambda n: n * (n - 1), name="shifted.alpha"),
-        BilateralSequence(beta, lambda n: n * (n - 1),
+        BilateralSequence(lambda n, c: beta(n), lambda n: n * (n - 1),
                           support=(-(m // 2), 0), name="shifted.beta"),
         label=f"shifted(m={m})",
     )
@@ -332,7 +332,6 @@ def _base_change_beta(m, c, qpow, val_bound, name):
     beta_n = (q^2;q^2)_m sum_{j<=n} (-1)^j q^(qpow(n, j)/2) (c)_{2j}
     / (q^2;q^2)_{n-j} * [m+j over m+2j]_{q^2}."""
     q2 = QParam.finite(1, 4)
-    q2m = poch(q2, m, base=4)
 
     def beta(n, cutoff):
         total = DenseSum(cutoff)
@@ -344,8 +343,9 @@ def _base_change_beta(m, c, qpow, val_bound, name):
             fp.times_scalar(sign(j))
             fp.times_qpow(qpow(n, j))
             fp.times_poch(c, 2 * j)
+            fp.times_poch(q2, m, base=4)
             fp.times_poch(q2, n - j, base=4, den=True)
-            fp.times_series(b * q2m)
+            fp.times_series(b)
             total.add(*fp.part(cutoff))
         return total.series()
 

@@ -22,30 +22,34 @@ nonpositive-exponent factors join the multisets (so a zero (q^-t;q)_oo, or a
 rest are listed only as far as the requested cutoff needs.
 
 Every product of factors (1 - c x^h)^(+-1) -- finite, negative-index and
-infinite Pochhammers, their reciprocals, the triple product, the assembled
-``FactorProduct`` ratio and the terms of a multisum -- is multiplied out by
-one dense kernel in three phases:
+infinite Pochhammers, their reciprocals, the triple product and the terms of
+a multisum -- is a ``FactorProduct``, multiplied out on one dense list of
+Python ints over one common denominator, a ``PartialProduct``, in the same
+steps wherever it is expanded:
 
-  1. ``_steps`` normalises the factors and the monomial into a scalar, a
+  1. ``PartialProduct.of`` lists the seed (1, or the series the product
+     multiplies: a sequence value, a symmetric polynomial) from its
+     valuation, as far as the cutoff needs and its own cutoff allows;
+  2. ``times_ratio`` applies the monomial and the finite factors of the
+     cancelled multisets: ``_steps`` normalises them into a scalar, a
      shift, a count of (1 - x^0) factors and steps (1 - (p/d) x^h)^(+-1)
-     with h > 0;
-  2. ``_apply`` applies the steps in place to one dense list of Python ints
-     over one common denominator, whatever the factors' rational
-     coefficients;
-  3. ``_build`` reduces each coefficient to lowest terms once, into the
-     resulting ``Series``.
+     with h > 0, and ``_apply`` applies the steps to the list in place,
+     whatever the factors' rational coefficients;
+  3. ``times_rest`` applies the infinite tails, listed only as far as the
+     list reaches, and then each of the ``extras`` (bracket polynomials) by
+     ``times_series``;
+  4. ``exact_below`` states the cutoff below which the list is exact, and
+     ``series`` reduces each coefficient to lowest terms once (``_build``).
 
-``_expand`` runs the three on a seed series (1, or the series a
-``FactorProduct`` multiplies: a sequence value, a bracket polynomial).
-``PartialProduct`` keeps the list, its denominator, scalar, shift and
-(1 - x^0) count between passes, so that a multisum walk applies each level's
-factors once to a list its chains share (see ``multisum``).  ``DenseSum``
-adds such results (``_kernel`` hands them out without phase 3) into one int
-list over one common denominator, one integer multiply per entry, and
-reduces each coefficient of the sum once.  Every sum of factor products
-in the engine is added this way: the multisum's leaves, the terms of a
-transformed sequence, and every sum that ``truncated_sum`` cuts off (the
-Bailey relation and its inversion, j-sums and corollary sums).  Sparse
+``FactorProduct.part`` runs the steps once, on its seed.  A multisum walk
+runs them level by level: it keeps one ``PartialProduct`` per level, so that
+each level's factors are applied once to a list its chains share (see
+``multisum``).  ``DenseSum`` adds such lists, without step 4's reduction,
+into one int list over one common denominator, one integer multiply per
+entry, and reduces each coefficient of the sum once.  Every sum of factor
+products in the engine is added this way: the multisum's leaves, the terms
+of a transformed sequence, and every sum that ``truncated_sum`` cuts off
+(the Bailey relation and its inversion, j-sums and corollary sums).  Sparse
 ``Series`` multiplication stays for products of general series; the kernel
 is checked against it, ``Series.invert`` and ``oracle.py``.
 
@@ -85,7 +89,7 @@ def _factor_val(mono):
 
 
 def _steps(num, den, coeff=1, halves=0):
-    """Phase 1: normalise coeff * x^halves * prod(1 - c x^h) over ``num`` /
+    """Normalise coeff * x^halves * prod(1 - c x^h) over ``num`` /
     prod(1 - c x^h) over ``den`` into (scalar, shift, steps, zeros).
 
     The product is scalar * x^shift * (1 - x^0)^zeros times the steps
@@ -118,7 +122,7 @@ def _steps(num, den, coeff=1, halves=0):
 
 
 def _apply(a, D, top, steps):
-    """Phase 2: apply the steps in place to the ints a[0..n) over the common
+    """Apply the steps in place to the ints a[0..n) over the common
     denominator D, where a[e] == 0 for every e > top; returns (D, top).
 
     A numerator step sets a[e] = d a[e] - p a[e-h] for descending e and
@@ -169,7 +173,7 @@ def _apply(a, D, top, steps):
 
 
 def _build(a, D, scalar, shift, cutoff) -> Series:
-    """Phase 3: the series scalar / D * x^shift * sum a[e] x^e, exact below
+    """The series scalar / D * x^shift * sum a[e] x^e, exact below
     ``cutoff``; each coefficient is reduced once."""
     scalar /= D
     p, d = scalar.numerator, scalar.denominator
@@ -195,69 +199,18 @@ def _ints(s: Series, v, n):
     return [(e, x.numerator * (D // x.denominator)) for e, x in start], D
 
 
-def _kernel(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
-    """Phases 1 and 2 of ``_expand``: the product as (PartialProduct, c), exact
-    below c.  A zero product is an empty list, exact below c."""
-    cutoff = INF if cutoff is None else cutoff
-    exact = cutoff == INF and seed.cutoff == INF
-    scalar, shift, steps, zeros = _steps(num, den, coeff, halves)
-    if zeros < 0:
-        raise PoleError("uncancelled vanishing denominator factor")
-    if exact and any(inv for *_, inv in steps):
-        raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
-    cutoff = min(cutoff, seed.cutoff + shift)
-    if zeros or scalar == 0 or not seed.terms:
-        return PartialProduct([]), cutoff
-    v = min(seed.terms)
-    top = max(seed.terms) - v  # a[e] == 0 for every e > top
-    n = top + sum(h for _, _, h, _ in steps) + 1 if exact else cutoff - shift - v
-    if n <= 0:
-        return PartialProduct([]), cutoff
-    start, D = _ints(seed, v, n)
-    a = [0] * n
-    for e, x in start:
-        a[e] = x
-    D, top = _apply(a, D, min(top, n - 1), steps)
-    return PartialProduct(a, D, top, scalar, v + shift), cutoff
-
-
-def _expand(num, den, cutoff, seed=Series.one(), coeff=1, halves=0):
-    """coeff * x^halves * ``seed`` * prod(1 - c x^h) over ``num`` / prod(1 - c x^h)
-    over ``den``.
-
-    ``num`` and ``den`` are iterables of monomials (c, h), repeated for
-    multiplicity.  The factors multiply out to scalar * x^shift * (a power
-    series leading with 1), and the monomial coeff * x^halves joins that
-    scalar and shift, so the result is exact below
-    min(cutoff, seed.cutoff + shift).  ``cutoff=None`` (or INF) asks for
-    everything the seed determines; with an exact seed that is the exact
-    polynomial, which admits no denominator.
-
-    This is the one place where factors (1 - c x^h)^(+-1) meet a series, in
-    three phases: ``_steps`` normalises the factors, ``_apply`` applies them
-    in place to one dense list of ints over one common denominator (the
-    seed's coefficients over the lcm of their denominators), and ``_build``
-    reduces each coefficient once into the result.  ``_kernel`` runs the
-    first two and hands back the list as a ``PartialProduct``, which a
-    ``DenseSum`` can add without building it.
-    """
-    part, cutoff = _kernel(num, den, cutoff, seed, coeff, halves)
-    return part.series(cutoff)
-
-
 class PartialProduct:
-    """The dense kernel's state between passes: scalar / D * x^shift *
-    sum a[e] x^e, times (1 - x^0)^zeros.  In a multisum walk it is exact
-    below shift + len(a); ``_kernel`` states its own cutoff, past the list
-    when the rest is known to be zero (an exact polynomial).
+    """The dense kernel's state between steps: scalar / D * x^shift *
+    sum a[e] x^e, times (1 - x^0)^zeros, exact below ``exact_below``.
 
-    A multisum walk carries one per level.  ``times_ratio`` applies the
-    monomial and finite factors of one ``FactorProduct`` divided by another
+    ``of`` lists a series.  ``times_ratio`` applies the monomial and the
+    finite factors of one ``FactorProduct``, or of one divided by another,
     to a copy of the list, cut to the entries still needed: the (1 - x^0)
     factors meet only in the count, and every other factor is a unit, so
     dividing one back out is exact.  ``times_rest`` adds the infinite tails
-    and the series of a ``FactorProduct``.  ``a`` is None once a factor
-    annihilated the product.
+    and the series of a ``FactorProduct``.  ``FactorProduct.part`` takes the
+    three steps once; a multisum walk carries one state per level.  ``a`` is
+    None once a factor annihilated the product.
     """
 
     __slots__ = ("a", "D", "top", "scalar", "shift", "zeros")
@@ -271,23 +224,37 @@ class PartialProduct:
         self.zeros = zeros
 
     @staticmethod
-    def one(n):
-        """1, listed to n entries."""
-        a = [0] * max(n, 0)
-        if a:
-            a[0] = 1
-        return PartialProduct(a)
+    def of(s: Series, n):
+        """s (with a term or a finite cutoff) listed from its valuation to n
+        entries, or to its own cutoff when that comes first."""
+        v = s.val()
+        n = max(0, min(n, s.cutoff - v))
+        start, D = _ints(s, v, n)
+        a = [0] * n
+        for e, x in start:
+            a[e] = x
+        return PartialProduct(a, D, max((e for e, _ in start), default=0), shift=v)
+
+    def exact_below(self, cutoff):
+        """The cutoff of the product: min(cutoff, shift + len(a)), the list
+        being exact below its end.  ``cutoff`` INF states that the list holds
+        an exact polynomial whole; an annihilated product is exact anywhere."""
+        if self.a is None or cutoff == INF:
+            return cutoff
+        return min(cutoff, self.shift + len(self.a))
 
     def times_ratio(self, fp: FactorProduct, over: FactorProduct | None, n):
         """self times the monomial and the finite factors of fp / over (over
-        None: of fp), its list cut to n entries."""
+        None: of fp, from its memoised cancelled multisets), its list cut to
+        n entries."""
         if self.a is None or fp.annihilated:
             return PartialProduct(None)
-        num, den, coeff, halves = fp.num, fp.den, fp.coeff, fp.halves
-        if over is not None:
-            num, den = num + over.den, den + over.num
-            coeff, halves = coeff / over.coeff, halves - over.halves
-        num, den = _cancel(num, den)
+        if over is None:
+            num, den, _ = fp._ratio()
+            coeff, halves = fp.coeff, fp.halves
+        else:
+            num, den = _cancel(fp.num + over.den, fp.den + over.num)
+            coeff, halves = fp.coeff / over.coeff, fp.halves - over.halves
         scalar, shift, steps, zeros = _steps(num.elements(), den.elements(), coeff, halves)
         a = self.a[:max(n, 0)]
         D, top = _apply(a, self.D, min(self.top, len(a) - 1), steps)
@@ -514,16 +481,9 @@ def _poch_cached(kind, coeff, halves, k, cutoff, base):
     a = QParam(kind, coeff, halves)
     if a.is_zero or k == 0:
         return Series.one()
-    if k == INF:
-        if cutoff is None or cutoff == INF:
-            raise BadParam("infinite Pochhammer product needs a finite cutoff")
-        v, vanishes = poch_val(a, INF, base)
-        if vanishes == "zero":
-            return Series.zero()
-        return _expand(*_poch_monos(a, INF, base, cutoff - v), cutoff)
     if k < 0 and cutoff is None:
         raise BadParam("negative-index Pochhammer needs a cutoff")
-    return _expand(*_poch_monos(a, k, base), cutoff)
+    return FactorProduct().times_poch(a, k, base).series(cutoff)
 
 
 def poch(a: QParam, k, cutoff=None, base: int = 2) -> Series:
@@ -535,41 +495,40 @@ def poch_recip(a: QParam, k, cutoff, base: int = 2) -> Series:
     """1/(a;q^base)_k; a pole of the Pochhammer maps to the exact zero series."""
     if a.is_zero:
         return Series.one()
-    v, kind = poch_val(a, k, base)
+    kind = poch_val(a, k, base)[1]
     if kind == "pole":
         return Series.zero()
     if kind == "zero":
         raise PoleError(f"reciprocal of the vanishing product ({a})_{k}")
-    num, den = _poch_monos(a, k, base, cutoff + v)
-    return _expand(den, num, cutoff)
+    return FactorProduct().times_poch(a, k, base, den=True).series(cutoff)
 
 
 # ---------------------------------------------------------------------------
 # q-binomials and elementary symmetric polynomials
 # ---------------------------------------------------------------------------
 
-_QBINOM_MEMO = {(0, 0): Series.one()}
+_QBINOM_MEMO = {}
 
 
 def qbinom(N: int, j: int, base: int = 2) -> Series:
-    """Gaussian binomial [N choose j] in base q^(base/2); zero outside 0<=j<=N."""
+    """Gaussian binomial [N choose j] in base q^(base/2); zero outside 0<=j<=N.
+    Each (N, j, base) is built once."""
     if N < 0:
         raise NegativeN(f"q-binomial with negative upper index {N}")
     if j < 0 or j > N:
         return Series.zero()
     if base % 2 or base <= 0:
         raise BadParam("q-binomial base must be a positive even number of halves")
-    got = _QBINOM_MEMO.get((N, j))
+    got = _QBINOM_MEMO.get((N, j, base))
     if got is None:
-        # [N,j] = q^j [N-1,j] + [N-1,j-1]
         if j == 0 or j == N:
             got = Series.one()
-        else:
+        elif base != 2:
+            got = qbinom(N, j).scale_exponents(base // 2)
+        else:  # [N,j] = q^j [N-1,j] + [N-1,j-1]
             got = qbinom(N - 1, j).times_monomial(1, 2 * j) + qbinom(N - 1, j - 1)
-        _QBINOM_MEMO[(N, j)] = got
-    if base == 2:
-        return got
-    return got.scale_exponents(base // 2)
+        _QBINOM_MEMO[N, j, base] = got
+    return got
 
 
 def esym(M: int, values) -> Series:
@@ -625,13 +584,10 @@ def triple_part(z: QParam, cutoff, base: int = 2, coeff=1, halves=0):
     """coeff * x^halves * (Q, z, Q/z; Q)_oo as the kernel's state,
     (PartialProduct, c) exact below c, for a ``DenseSum``."""
     Qp = QParam.finite(1, base)
-    params = (Qp, z, Qp / z)
-    vals = [poch_val(p, INF, base) for p in params]
-    if any(kind == "zero" for _, kind in vals):
-        return PartialProduct([]), cutoff
-    bound = cutoff - halves - sum(v for v, _ in vals)
-    return _kernel([m for p in params for m in _poch_monos(p, INF, base, bound)[0]],
-                   [], cutoff, coeff=coeff, halves=halves)
+    fp = FactorProduct().times_scalar(coeff).times_qpow(halves)
+    for p in (Qp, z, Qp / z):
+        fp.times_poch(p, INF, base)
+    return fp.part(cutoff)
 
 
 def triple_product(z: QParam, cutoff, base: int = 2) -> Series:
@@ -650,10 +606,12 @@ def jacobi_triple(z: QParam, cutoff, base: int = 2):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100000)
-def _factors_series(num_key, den_key, cutoff, coeff, halves):
-    return _expand([m for m, k in num_key for _ in range(k)],
-                   [m for m, k in den_key for _ in range(k)], cutoff,
-                   coeff=coeff, halves=halves)
+def _factors_series(num_key, den_key, infs, cutoff, coeff, halves):
+    fp = FactorProduct()
+    fp.num, fp.den, fp.infs = Counter(dict(num_key)), Counter(dict(den_key)), list(infs)
+    fp.coeff, fp.halves = coeff, halves
+    part, c = fp.part(cutoff)
+    return part.series(c)
 
 
 def _cancel(num: Counter, den: Counter):
@@ -685,11 +643,11 @@ class FactorProduct:
     parameters evaluate exactly instead of raising 0/0.  Infinite Pochhammers
     (``times_poch`` with k = INF) keep their nonpositive-exponent factors in
     the multisets and their tails, which all lead with 1, in ``infs``.
-    ``series(cutoff, seed)`` multiplies the ``extras`` (bracket polynomials,
-    at most one of them a truncated series) and the optional ``seed`` (such
-    as a sequence value) into one seed series with ``Series.__mul__``, lists
-    each tail up to the exponent the cutoff needs, and applies every factor
-    and the monomial to that seed in one ``_expand`` call.  The cancelled
+    ``part(cutoff, seed)`` lists the optional ``seed`` (such as a sequence
+    value) in one ``PartialProduct``, applies the monomial and the factors,
+    then the tails, each listed up to the exponent the cutoff needs, and
+    then the ``extras`` (bracket polynomials, at most one of them a
+    truncated series); ``series`` builds the result.  The cancelled
     multisets are computed once and kept until the next ``times*`` call.
     """
 
@@ -834,45 +792,41 @@ class FactorProduct:
 
     def part(self, cutoff, seed=None):
         """``series(cutoff, seed)`` as the kernel's state, (PartialProduct, c)
-        exact below c, for a ``DenseSum``."""
-        got = self._seeded(cutoff, seed)
-        if got is None:
+        exact below c, for a ``DenseSum``.
+
+        The seed (default 1) and the ``extras`` are listed as far as the
+        cutoff needs and their own cutoffs allow.  ``cutoff=None`` (or INF)
+        asks for everything they determine: when they are all exact, that is
+        the exact polynomial, which admits no denominator factor.
+        """
+        num, den, v = self._ratio()
+        series = [Series.one() if seed is None else seed, *self.extras]
+        v += sum(s.val() for s in series)
+        if v == INF:
             return PartialProduct(None), INF
-        num, den, seed = got
-        return _kernel(num.elements(), den.elements(), cutoff,
-                       Series.one() if seed is None else seed, self.coeff, self.halves)
+        if cutoff is None or cutoff == INF:
+            if self.infs:
+                raise BadParam("infinite Pochhammer product needs a finite cutoff")
+            cutoff = v + min(s.cutoff - s.val() for s in series)
+        if cutoff != INF:
+            n = cutoff - v
+        elif any(h for _, h in den):
+            raise InvertZero("inverse of a non-monomial exact series needs a cutoff")
+        else:  # the whole polynomial
+            n = (1 + sum(abs(h) * k for (_, h), k in num.items())
+                 + sum(max(s.terms) - min(s.terms) for s in series))
+        part = PartialProduct.of(series[0], n).times_ratio(self, None, n).times_rest(self, n)
+        return part, part.exact_below(cutoff)
 
     def series(self, cutoff, seed=None) -> Series:
         """This product times ``seed`` (default 1), exact below the cutoff
         wherever the seed is exact below cutoff - val_bound()."""
-        got = self._seeded(cutoff, seed)
-        if got is None:
-            return Series.zero()
-        num, den, seed = got
-        if seed is None:
+        if seed is None and not self.extras and not self.annihilated:
+            num, den, _ = self._ratio()
             return _factors_series(tuple(sorted(num.items())), tuple(sorted(den.items())),
-                                   cutoff, self.coeff, self.halves)
-        return _expand(num.elements(), den.elements(), cutoff, seed, self.coeff, self.halves)
-
-    def _seeded(self, cutoff, seed):
-        """The kernel's input: the cancelled multisets with the tails listed
-        as far as the cutoff needs, and the seed times the ``extras``; None
-        when the product is zero."""
-        num, den, v = self._ratio()
-        if v == INF:
-            return None
-        for s in self.extras:
-            seed = s if seed is None else seed * s
-        if self.infs:
-            if cutoff is None or cutoff == INF:
-                raise BadParam("infinite Pochhammer product needs a finite cutoff")
-            # Every unlisted tail factor is (1 - c x^h) with h >= bound, so the
-            # omitted part is 1 + O(x^bound): the product stays exact below cutoff.
-            bound = cutoff - v - (0 if seed is None else seed.val())
-            num, den = Counter(num), Counter(den)
-            for p, base, inv in self.infs:
-                (den if inv else num).update(_poch_monos(p, INF, base, bound)[0])
-        return num, den, seed
+                                   tuple(self.infs), cutoff, self.coeff, self.halves)
+        part, c = self.part(cutoff, seed)
+        return part.series(c)
 
 
 class Valuation:

@@ -316,7 +316,7 @@ def f_direct(N: int, j: int, n: int, a: QParam, bs) -> Series:
         for u in range(max(0, j - M), min(j, N - M) + 1):
             fp = FactorProduct().times_param_pow(a, u)
             fp.times_qpow(2 * ((M - j + u) * (n - j + u) + u * (n - N)))
-            fp.times_series(qbinom(M, j - u) * qbinom(N - M, u))
+            fp.times_series(qbinom(M, j - u)).times_series(qbinom(N - M, u))
             total.add(*fp.part(INF, eM))
     return total.series()
 

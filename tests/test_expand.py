@@ -1,5 +1,6 @@
 """The dense factor kernel against sparse Series arithmetic and the oracle."""
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,8 @@ import pytest
 from qbailey import cli
 from qbailey.errors import BadParam, InvertZero, PoleError
 from qbailey.oracle import DenseSeries, dense_invert, dense_mul, sum_series
-from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, Valuation, _expand,
-                               _kernel, poch, poch_recip, poch_val)
+from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, Valuation, poch,
+                               poch_recip, poch_val)
 from qbailey.qparams import QParam
 from qbailey.series import INF, Series, product_at
 
@@ -25,6 +26,17 @@ def _flat(ms):
 
 def _terms(c, h):
     return {0: 1 - c} if h == 0 else {0: 1, h: -c}
+
+
+def _fp(num, den):
+    """The FactorProduct of the monomials (c, h): prod(1 - c x^h) over ``num``
+    divided by that over ``den``; equal factors cancel."""
+    fp = FactorProduct()
+    for m in num:
+        fp.times_factor(QParam.finite(*m))
+    for m in den:
+        fp.times_factor(QParam.finite(*m), den=True)
+    return fp
 
 
 def _sparse(num, den, cutoff):
@@ -55,7 +67,7 @@ def _dense(num, den, cutoff):
 
 
 def _check(num, den, cutoff):
-    got = _expand(num, den, cutoff)
+    got = _fp(num, den).series(cutoff)
     assert got.cutoff == (INF if cutoff is None else cutoff)
     assert got.terms == _sparse(num, den, cutoff).terms
     assert got.terms == _dense(num, den, cutoff)
@@ -148,15 +160,16 @@ def seeds(draw):
 @given(multisets, multisets, st.one_of(st.none(), st.integers(-20, 40)), seeds())
 def test_seeded_expand_is_the_product_with_its_seed(num, den, cutoff, seed):
     num, den = _flat(num), _flat(den)
-    if cutoff is None and any(h for _, h in den) and seed.cutoff == INF:
+    # an exact product admits no denominator factor left after cancellation
+    if cutoff is None and any(h for _, h in Counter(den) - Counter(num)) and seed.cutoff == INF:
         with pytest.raises(InvertZero):
-            _expand(num, den, cutoff, seed)
+            _fp(num, den).series(cutoff, seed)
         return
-    got = _expand(num, den, cutoff, seed)
+    got = _fp(num, den).series(cutoff, seed)
     # the unseeded product, exact below the target cutoff less the seed's valuation
     shift = sum(min(0, h) for _, h in num) - sum(min(0, h) for _, h in den)
     target = min(INF if cutoff is None else cutoff, seed.cutoff + shift)
-    plain = _expand(num, den, None if target == INF else target - seed.val())
+    plain = _fp(num, den).series(None if target == INF else target - seed.val())
     want = plain * seed
     assert got.cutoff == want.cutoff == target
     assert got.terms == want.terms
@@ -245,7 +258,7 @@ def test_factors_with_their_own_denominators_on_both_sides_of_a_rational_seed():
     for cutoff in (INF, 47):
         seed = Series({-3: Fraction(1, 6), 0: Fraction(-5, 7), 4: 2, 9: Fraction(3, 10)},
                       cutoff)
-        got = _expand(num, den, 120, seed)
+        got = _fp(num, den).series(120, seed)
         want = _seeded_reference(num, den, 120, seed)
         assert got.cutoff == want.cutoff
         assert got.terms == want.terms
@@ -271,13 +284,22 @@ def _inf_part(c, h, base, inv):
     return build, w
 
 
+# extras: exact bracket polynomials, and at most one series known only below a cutoff
+exact_polys = st.dictionaries(st.integers(-6, 8), seed_coeffs, min_size=1, max_size=4).map(Series)
+extra_lists = st.tuples(st.lists(exact_polys, max_size=2), st.one_of(st.none(), seeds())).map(
+    lambda t: t[0] + ([] if t[1] is None else [t[1]]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(coeffs, st.integers(-6, 6), multisets, multisets, inf_products, seeds(),
+@given(coeffs, st.integers(-6, 6), multisets, multisets, inf_products, extra_lists, seeds(),
        st.integers(-10, 40))
 def test_a_scaled_factor_product_matches_a_product_at_reference(scalar, halves, num, den,
-                                                                prods, seed, cutoff):
+                                                                prods, extras, seed, cutoff):
     fp = FactorProduct().times_scalar(scalar).times_qpow(halves)
     parts = [(lambda at: Series.monomial(scalar, halves), halves), (seed.truncate, seed.val())]
+    for s in extras:
+        fp.times_series(s)
+        parts.append((s.truncate, s.val()))
     for m in _flat(num):
         fp.times_factor(QParam.finite(*m))
         parts.append((lambda at, m=m: Series(_terms(*m)), min(0, m[1])))
@@ -323,13 +345,9 @@ def partial_products(draw):
 
 @st.composite
 def kernel_results(draw):
-    """What ``_kernel`` hands back for random factors and seeds."""
+    """What ``FactorProduct.part`` hands back for random factors and seeds."""
     num, den, seed = draw(multisets), draw(multisets), draw(seeds())
-    cutoff = draw(st.integers(-20, 40))
-    try:
-        return _kernel(_flat(num), _flat(den), cutoff, seed)
-    except PoleError:
-        return PartialProduct([], zeros=-1), cutoff
+    return _fp(_flat(num), _flat(den)).part(draw(st.integers(-20, 40)), seed)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from qbailey.errors import NegativeN, PoleError
+from qbailey.errors import BadParam, InvertZero, NegativeN, PoleError
 from qbailey.qparams import QParam, parse_qparam
 from qbailey.qfunctions import (FactorProduct, esym, jacobi_triple, poch,
-                                poch_recip, qbinom)
+                                poch_recip, qbinom, triple_product)
 from qbailey.series import INF, Series, first_diff, series_equal
 
 Q = QParam.finite(1, 2)
@@ -83,6 +83,13 @@ def test_qbinom_symmetry_and_pascal():
             assert lhs.terms == r2.terms
 
 
+def test_qbinom_at_another_base_is_the_scaled_value_built_once():
+    got = qbinom(7, 3, base=4)
+    assert got.terms == {2 * e: c for e, c in qbinom(7, 3).terms.items()}
+    assert got.cutoff == INF
+    assert qbinom(7, 3, base=4) is got  # served from the memo, not scaled again
+
+
 def test_esym():
     b = QParam.finite(2, 2)
     assert esym(0, [b, b]).terms == {0: 1}
@@ -120,6 +127,61 @@ def test_factor_product_cancellation():
     assert fp.series(10).is_zero_below_cutoff()
     with pytest.raises(PoleError):
         FactorProduct().times_factor(one, 0, den=True).series(10)
+
+
+A = QParam.finite(3, 2)          # 3q
+VANISHING = QParam.finite(1, -4)  # q^-2: (q^-2;q)_k has the factor (1 - q^0) for k >= 3
+F = Fraction
+
+
+EDGE_CASES = [
+    # values
+    ("poch-k3-c5", lambda: poch(A, 3, 5), {0: 1, 2: -3, 4: -3}, 5),
+    ("poch-k3-exact", lambda: poch(A, 3), {0: 1, 2: -3, 4: -3, 6: 6, 8: 9, 10: 9, 12: -27}, INF),
+    ("poch-kneg", lambda: poch(A, -2, 10),
+     {2: F(1, 6), 4: F(1, 18), 6: F(1, 54), 8: F(1, 162)}, 10),
+    ("poch-inf", lambda: poch(A, INF, 10), {0: 1, 2: -3, 4: -3, 6: 6, 8: 6}, 10),
+    ("recip-k3", lambda: poch_recip(A, 3, 10), {0: 1, 2: 3, 4: 12, 6: 39, 8: 126}, 10),
+    ("recip-kneg", lambda: poch_recip(A, -2, 10), {-2: 6, 0: -2}, 10),
+    ("recip-inf", lambda: poch_recip(A, INF, 10), {0: 1, 2: 3, 4: 12, 6: 39, 8: 129}, 10),
+    ("triple", lambda: triple_product(QParam.finite(2, 2), 10),
+     {0: F(1, 2), 2: F(-7, 4), 6: F(31, 8)}, 10),
+    # k = 0: poch is exactly 1, poch_recip is 1 below the cutoff
+    ("poch-k0", lambda: poch(A, 0, 10), {0: 1}, INF),
+    ("recip-k0", lambda: poch_recip(A, 0, 10), {0: 1}, 10),
+    # a = 0: both are exactly 1; the triple product divides by z
+    ("poch-a0", lambda: poch(QParam.zero(), 3, 10), {0: 1}, INF),
+    ("poch-a0-inf", lambda: poch(QParam.zero(), INF), {0: 1}, INF),
+    ("recip-a0", lambda: poch_recip(QParam.zero(), 3, 10), {0: 1}, INF),
+    ("triple-z0", lambda: triple_product(QParam.zero(), 10), BadParam, None),
+    # a vanishing (1 - q^0) factor: the exact zero series, or a pole of the reciprocal
+    ("poch-vanishing", lambda: poch(VANISHING, 3, 10), {}, INF),
+    ("poch-vanishing-inf", lambda: poch(VANISHING, INF, 10), {}, INF),
+    ("recip-vanishing", lambda: poch_recip(VANISHING, 3, 10), PoleError, None),
+    ("triple-vanishing", lambda: triple_product(QParam.finite(1, 0), 10), {}, INF),
+    # a negative-index pole: poch raises, poch_recip is exactly zero
+    ("poch-pole", lambda: poch(Q, -1, 10), PoleError, None),
+    ("recip-pole", lambda: poch_recip(Q, -1, 10), {}, INF),
+    # no cutoff: an infinite product cannot be listed, a negative index is refused,
+    # a finite reciprocal has no exact form
+    ("poch-inf-nocutoff", lambda: poch(A, INF), BadParam, None),
+    ("poch-kneg-nocutoff", lambda: poch(A, -2), BadParam, None),
+    ("recip-inf-nocutoff", lambda: poch_recip(A, INF, None), BadParam, None),
+    ("recip-k3-nocutoff", lambda: poch_recip(A, 3, None), InvertZero, None),
+    ("triple-nocutoff", lambda: triple_product(QParam.finite(2, 2), None), BadParam, None),
+]
+
+
+@pytest.mark.parametrize("call, terms, cutoff", [c[1:] for c in EDGE_CASES],
+                         ids=[c[0] for c in EDGE_CASES])
+def test_pochhammer_and_triple_product_edge_cases(call, terms, cutoff):
+    if isinstance(terms, type):
+        with pytest.raises(terms):
+            call()
+        return
+    got = call()
+    assert got.terms == terms
+    assert got.cutoff == cutoff
 
 
 def test_parse_round_trip():
