@@ -44,7 +44,8 @@ def _jsum(a: QParam, b: QParam, coeff, cutoff):
     stop rule.
 
     coeff(j) returns term j as a FactorProduct, annihilated for a zero term;
-    its valuation is the term's floor.  Term j divides by (b - a q^j), so
+    the sum adds it as the plan (coeff(j), None, None), whose floor is its
+    valuation.  Term j divides by (b - a q^j), so
     b = a q^j0 with j0 >= 0 makes (a/b)_oo vanish exactly where term j0 has a
     pole; that 0 * oo raises ``PoleError`` rather than evaluating to the zero
     series.
@@ -53,15 +54,9 @@ def _jsum(a: QParam, b: QParam, coeff, cutoff):
     if b.is_finite and pre.val_bound() == INF:
         raise PoleError(f"master rhs: {b} collides with a q^j")
 
-    def jsum(c):
-        def at(j):
-            fp = coeff(j)
-            return fp.val_bound(), lambda: [fp.part(c)]
-
-        return truncated_sum([(0, 1, INF)], at, c,
-                             "master rhs: j-sum did not truncate").truncate(c)
-
-    return pre.series_times(jsum, cutoff)
+    return pre.series_times(
+        lambda c: truncated_sum([(0, 1, INF)], lambda j: [(coeff(j), None, None)], c,
+                                "master rhs: j-sum did not truncate"), cutoff)
 
 
 def _times_a_quotient(fp, a: QParam, j: int):

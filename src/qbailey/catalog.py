@@ -4,7 +4,8 @@ Each of the 21 classical families is one ``_family`` row: domain bounds
 (the validator and the documented domain), the ``_chain_spec`` data of the
 left side's nested multisum, and the right side's product terms read off the
 statement: a prefactor of infinite products times a finite sum of triple
-products (``_product_side``).  The two sides share no formula.
+products (``_product_side``), each term a plan (``triple_part``, None,
+None) for ``qfunctions.sum_plans``.  The two sides share no formula.
 ``bressoud_master`` and the lattice-route rows (``lambda1``, ``lattice3``,
 ``newlattice3``) are instead parameter maps onto the master identity's
 multisum and j-sum in ``bressoud``.  Half-integer
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .errors import BadParam, UnknownIdentity
 from .qparams import ONE, Q, QParam
-from .qfunctions import DenseSum, FactorProduct, qbinom, sign, triple_part
+from .qfunctions import FactorProduct, qbinom, sign, sum_plans, triple_part
 from .multisum import MultisumSpec, multisum_eval
 from .series import INF, Series, first_diff
 from . import bressoud
@@ -162,21 +163,17 @@ def _product_side(side):
     finite factor).  ``terms`` lists (coeff, h, mod, z) for
     coeff q^(h/2) (Q, q^(z/2), Q/q^(z/2); Q)_oo with Q = q^(mod/2).  The side
     is the prefactor times the sum of the terms, or the prefactor alone when
-    there are none.  The terms go into one ``DenseSum`` as the kernel leaves
-    them, and the prefactor multiplies that sum once.
+    there are none.  Each term is the plan (``triple_part``, None, None),
+    the terms go to one ``sum_plans``, and the prefactor multiplies that sum
+    once.
     """
     def rhs(p, cutoff):
         pre, terms = side(*_mri(p))
         if not terms:
             return pre.series(cutoff)
-
-        def body(c):
-            total = DenseSum(c)
-            for coeff, h, mod, z in terms:
-                total.add(*triple_part(QParam.finite(1, z), c, mod, coeff, h))
-            return total.series()
-
-        return pre.series_times(body, cutoff)
+        return pre.series_times(lambda c: sum_plans(
+            [(triple_part(QParam.finite(1, z), mod, coeff, h), None, None)
+             for coeff, h, mod, z in terms], c), cutoff)
 
     return rhs
 

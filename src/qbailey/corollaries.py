@@ -20,19 +20,21 @@ the specializations a = q^m evaluate without removable 0/0s.
 ``finite_n_check`` evaluates the finite-n nested-sum identities (the chain
 with i lattice-side steps, classical and q-twisted variants) at a single n.
 
-The other sums add each term, a factor product times alpha_j or beta_{s_r},
-to one ``DenseSum`` as the kernel left it (``BilateralSequence.part``); the
-bilateral ones stop by ``qfunctions.truncated_sum``'s heuristic rule.
+The other sums describe each term as a plan (fp, alpha, j) or
+(fp, beta, s_r), a factor product times a sequence value: the finite ones
+go to ``qfunctions.sum_plans``, the bilateral ones to
+``qfunctions.truncated_sum``, whose heuristic stop rule reads each term's
+floor off its plans.
 """
 
 from __future__ import annotations
 
 from .errors import BadParam, PoleError, TruncationUnreachable
 from .qparams import Q, QParam
-from .qfunctions import DenseSum, FactorProduct, fp_pp, poch_val, sign, truncated_sum
+from .qfunctions import FactorProduct, fp_pp, poch_val, sign, sum_plans, truncated_sum
 from .multisum import MultisumSpec, multisum_eval
-from .pairs import BaileyPair, VerifyReport
-from .series import INF, Series, first_diff
+from .pairs import BaileyPair, VerifyReport, _compare_on_window
+from .series import INF, Series
 
 
 def _geom(a: QParam, j: int, top: int) -> Series:
@@ -44,20 +46,17 @@ def _geom(a: QParam, j: int, top: int) -> Series:
 
 
 def _bilateral_alpha_sum(pair, coeff_fp_fn, cutoff, label):
-    """sum_j coeff(j) * alpha_j, run upward from j = 0 and downward from j = -1
-    into one sum.
+    """sum_j coeff(j) * alpha_j over alpha's support, run upward from
+    j = max(0, lo) and downward from j = min(-1, hi) into one sum.
 
     coeff_fp_fn(j) returns a FactorProduct.  Each direction stops by
     ``qfunctions.truncated_sum``'s rule, which is a heuristic (see there).
     """
     alpha = pair.alpha
-
-    def at(j):
-        fp = coeff_fp_fn(j)
-        return fp.val_bound() + alpha.val_bound(j), lambda: [alpha.part(fp, j, cutoff)]
-
-    return truncated_sum([(0, 1, alpha.support_hi), (-1, -1, alpha.support_lo)], at,
-                         cutoff, f"{label}: bilateral sum did not truncate").truncate(cutoff)
+    lo, hi = alpha.support_lo, alpha.support_hi
+    return truncated_sum([(max(0, lo), 1, hi), (min(-1, hi), -1, lo)],
+                         lambda j: [(coeff_fp_fn(j), alpha, j)],
+                         cutoff, f"{label}: bilateral sum did not truncate")
 
 
 def corollary_sum(pair: BaileyPair, r: int, i: int, variant, cutoff):
@@ -81,7 +80,6 @@ def corollary_sum(pair: BaileyPair, r: int, i: int, variant, cutoff):
         if b is not None and b.is_zero or c is not None and c.is_zero:
             raise BadParam("bc variant needs nonzero b and c")
         bc = True
-    a = pair.a
     lhs = _corollary_lhs(pair, r, i, b, c, cutoff, bc)
     rhs = _corollary_rhs(pair, r, i, b, c, cutoff, bc)
     return lhs, rhs
@@ -189,13 +187,7 @@ def finite_n_check(theorem: str, pair: BaileyPair, r: int, i: int, n: int,
         raise BadParam("the unilateral theorem needs n >= 0")
     lhs = _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted)
     rhs = _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted)
-    order, diff = first_diff(lhs, rhs, cutoff)
-    if diff is None:
-        return VerifyReport(order >= cutoff, n, n, cutoff, order)
-    e, cl, cr = diff
-    return VerifyReport(False, n, n, cutoff, order,
-                        {"n": n, "exponent_halves": e,
-                         "lhs_coeff": cl, "rhs_coeff": cr})
+    return _compare_on_window(n, n, cutoff, lambda _: [(lhs, rhs, "")])
 
 
 def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
@@ -227,7 +219,7 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             fp.times_poch(Q, s_prev - s, den=True)
             s_prev = s
 
-    total = DenseSum(cutoff)
+    plans = []
     # chains n >= s_1 >= ... >= s_r >= lo: a finite box
     def rec(d, prev, chain):
         if d > r:
@@ -241,7 +233,7 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
                 expo = sum(chain[dd - 1] for dd in range(i + 1, r + 1))
             fp.times_qpow(2 * expo)
             blocks(fp, chain)
-            total.add(*beta.part(fp, chain[-1], cutoff))
+            plans.append((fp, beta, chain[-1]))
             return
         hi = prev
         if d == r:
@@ -250,7 +242,7 @@ def _finite_n_lhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             rec(d + 1, s, chain + [s])
 
     rec(1, n, [])
-    return total.series()
+    return sum_plans(plans, cutoff)
 
 
 def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
@@ -278,8 +270,10 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
         fp.times_param_pow(aq, (r - i) * j)
 
     def plans(j):
+        if poch_val(a, n + j)[1] == "pole":
+            return []  # 1/(a)_{n+j} = 0 here and for every smaller j
         out = []
-        for idx, (jj, extra) in enumerate(((j, "first"), (j - 1, "second"))):
+        for idx, jj in enumerate((j, j - 1)):
             fp = FactorProduct()
             fp.times_scalar(1 if idx == 0 else -1)
             lattice_block(fp, j)
@@ -293,7 +287,7 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
             elif idx == 1:
                 fp.times_param_pow(a, 1)
                 fp.times_qpow(4 * j - 4)
-            out.append((fp, jj))
+            out.append((fp, alpha, jj))
         return out
 
     if twisted:
@@ -301,20 +295,8 @@ def _finite_n_rhs(pair, r, i, n, rhos, sigmas, cutoff, twisted):
         fp0 = FactorProduct()
         fp0.times_poch(Q, n, den=True)
         fp0.times_poch(a, n, den=True)
-        total = DenseSum(cutoff)
-        total.add(*alpha.part(fp0, 0, cutoff))
-        for j in range(1, n + 1):
-            for fp, jj in plans(j):
-                total.add(*alpha.part(fp, jj, cutoff))
-        return total.series()
+        return sum_plans([(fp0, alpha, 0)] + [p for j in range(1, n + 1) for p in plans(j)],
+                         cutoff)
 
-    def at(j):
-        _, kind = poch_val(a, n + j)
-        if kind == "pole":
-            return INF, None  # 1/(a)_{n+j} = 0 here and for every smaller j
-        got = plans(j)
-        return (min(fp.val_bound() + alpha.val_bound(jj) for fp, jj in got),
-                lambda: [alpha.part(fp, jj, cutoff) for fp, jj in got])
-
-    return truncated_sum([(min(n, alpha.support_hi + 1), -1, alpha.support_lo)], at,
-                         cutoff, "finite-n rhs did not truncate").truncate(cutoff)
+    return truncated_sum([(min(n, alpha.support_hi + 1), -1, alpha.support_lo)], plans,
+                         cutoff, "finite-n rhs did not truncate")

@@ -7,9 +7,9 @@ beta_n), n in Z, with
 
 ``verify_pair`` recomputes the right side by enumerating j downward from n
 with ``qfunctions.truncated_sum``, whose stop rule is a heuristic (see
-there); each term is a factor product times alpha_j, added as the kernel
-left it to the sum's one ``DenseSum``.  ``invert_pair`` recomputes alpha
-from beta the same way, through
+there); term j is the plan (1/((q)_{n-j} (aq)_{n+j}), alpha, j), a factor
+product times alpha_j, and its floor is read off that plan.  ``invert_pair``
+recomputes alpha from beta the same way, through
 
     alpha_n = (1-aq^{2n})/(1-a) *
               sum_{j <= n} (a)_{n+j}/(q)_{n-j} (-1)^{n-j} q^C(n-j,2) beta_j.
@@ -27,7 +27,7 @@ from functools import cache
 
 from .errors import BadParam, CertificateViolation, PoleError
 from .qparams import Q, QParam
-from .qfunctions import DenseSum, FactorProduct, poch_val, qbinom, sign, truncated_sum
+from .qfunctions import FactorProduct, poch_val, qbinom, sign, sum_plans, truncated_sum
 from .series import INF, Series, first_diff
 
 
@@ -97,9 +97,9 @@ class BilateralSequence:
         return got
 
     def part(self, fp: FactorProduct, n, cutoff):
-        """fp * self(n) as the kernel's state, (PartialProduct, c) exact below
-        c, for a ``DenseSum``; nothing is built when the valuations reach
-        the cutoff."""
+        """The plan (fp, self, n) as the kernel's state, (PartialProduct, c)
+        exact below c, for a ``DenseSum``; nothing is built when the
+        valuations reach the cutoff."""
         return fp.part_times(lambda c: self(n, c), cutoff, self.val_bound(n))
 
     def val_bound(self, n):
@@ -130,23 +130,20 @@ def relation_rhs(pair: BaileyPair, n: int, cutoff: int) -> Series:
     aq = pair.a.q_shift(2)
     alpha = pair.alpha
 
-    def parts(j):
-        fp = FactorProduct().times_poch(Q, n - j, den=True).times_poch(aq, n + j, den=True)
-        return [alpha.part(fp, j, cutoff)]
-
-    def at(j):
-        v_aq, kind = poch_val(aq, n + j)
+    def plans(j):
+        kind = poch_val(aq, n + j)[1]
         if kind == "pole":
-            return INF, None  # 1/(aq)_{n+j} = 0 here and for every smaller j
+            return []  # 1/(aq)_{n+j} = 0 here and for every smaller j
         if kind == "zero":
             if alpha.val_bound(j) == INF:
-                return None, None
+                return None
             raise PoleError(
                 f"defining relation degenerates: (aq)_{n + j} = 0 with aq = {aq}")
-        return alpha.val_bound(j) - v_aq, lambda: parts(j)
+        fp = FactorProduct().times_poch(Q, n - j, den=True).times_poch(aq, n + j, den=True)
+        return [(fp, alpha, j)]
 
-    return truncated_sum([(min(n, alpha.support_hi), -1, alpha.support_lo)], at, cutoff,
-                         f"relation sum at n={n} did not truncate").truncate(cutoff)
+    return truncated_sum([(min(n, alpha.support_hi), -1, alpha.support_lo)], plans, cutoff,
+                         f"relation sum at n={n} did not truncate")
 
 
 def _compare_on_window(n_min, n_max, cutoff, sides) -> VerifyReport:
@@ -187,28 +184,23 @@ def inversion_alpha(pair: BaileyPair, n: int, cutoff: int) -> Series:
         return Series.zero()
     inner_cut = cutoff - vpref
 
-    def parts(j):
+    def plans(j):
+        kind = poch_val(a, n + j)[1]
+        if kind == "zero":
+            return None
+        if kind == "pole":
+            raise PoleError(f"(a)_{n + j} has a pole with a = {a}")
         d = n - j
         fp = FactorProduct()
         fp.times_scalar(sign(d))
         fp.times_qpow(d * (d - 1))
         fp.times_poch(a, n + j)
         fp.times_poch(Q, d, den=True)
-        return [beta.part(fp, j, inner_cut)]
+        return [(fp, beta, j)]
 
-    def at(j):
-        v_a, kind = poch_val(a, n + j)
-        if kind == "zero":
-            return None, None
-        if kind == "pole":
-            raise PoleError(f"(a)_{n + j} has a pole with a = {a}")
-        d = n - j
-        # the floor of the whole term, prefactor included
-        return vpref + beta.val_bound(j) + v_a + d * (d - 1), lambda: parts(j)
-
-    out = truncated_sum([(min(n, beta.support_hi), -1, beta.support_lo)], at, cutoff,
+    out = truncated_sum([(min(n, beta.support_hi), -1, beta.support_lo)], plans, inner_cut,
                         f"inversion sum at n={n} did not truncate")
-    return pref.series(cutoff, out.truncate(inner_cut))
+    return pref.series(cutoff, out)
 
 
 def invert_pair(pair: BaileyPair, n_min: int, n_max: int, cutoff: int) -> VerifyReport:
@@ -334,7 +326,7 @@ def _base_change_beta(m, c, qpow, val_bound, name):
     q2 = QParam.finite(1, 4)
 
     def beta(n, cutoff):
-        total = DenseSum(cutoff)
+        plans = []
         for j in range(-(m // 2), min(n, 0) + 1):
             b = qbinom(m + j, m + 2 * j, base=4)
             if b.is_zero_below_cutoff():
@@ -346,8 +338,8 @@ def _base_change_beta(m, c, qpow, val_bound, name):
             fp.times_poch(q2, m, base=4)
             fp.times_poch(q2, n - j, base=4, den=True)
             fp.times_series(b)
-            total.add(*fp.part(cutoff))
-        return total.series()
+            plans.append((fp, None, None))
+        return sum_plans(plans, cutoff)
 
     return BilateralSequence(beta, val_bound, support=(-(m // 2), INF), name=name)
 

@@ -46,10 +46,16 @@ runs them level by level: it keeps one ``PartialProduct`` per level, so that
 each level's factors are applied once to a list its chains share (see
 ``multisum``).  ``DenseSum`` adds such lists, without step 4's reduction,
 into one int list over one common denominator, one integer multiply per
-entry, and reduces each coefficient of the sum once.  Every sum of factor
-products in the engine is added this way: the multisum's leaves, the terms
-of a transformed sequence, and every sum that ``truncated_sum`` cuts off
-(the Bailey relation and its inversion, j-sums and corollary sums).  Sparse
+entry, and reduces each coefficient of the sum once.
+
+Every engine sum but the multisum walk's is a list of plans (fp, seq, k),
+each meaning fp * seq(k), or fp alone when seq is None.  ``plans_floor`` reads a list's
+valuation floor off its factor products and the sequences' certificates,
+and ``sum_plans`` adds the list into one ``DenseSum``: the terms of a
+transformed sequence, the finite-n sides, the base-change betas, the
+lattice kernel f and the sums of triple products.  ``truncated_sum`` asks
+for one plan list per index and cuts the sum off by those floors (the
+Bailey relation and its inversion, j-sums and corollary sums).  Sparse
 ``Series`` multiplication stays for products of general series; the kernel
 is checked against it, ``Series.invert`` and ``oracle.py``.
 
@@ -263,16 +269,21 @@ class PartialProduct:
 
     def times_rest(self, fp: FactorProduct, n, cutoff=INF):
         """self times the infinite tails and the series of fp, its list cut
-        to at most n entries and to none at or above ``cutoff``."""
+        to at most n entries and to none at or above ``cutoff``.  With no
+        tail to apply and nothing to cut, the list is shared, not copied:
+        no kernel list is changed once a step has returned it (``_apply``
+        runs only on the copies ``times_ratio`` and ``times_rest`` make)."""
         if self.a is None or INF in (s.val() for s in fp.extras):
             return PartialProduct(None)
         ev = sum(s.val() for s in fp.extras)
         n = max(0, min(n, len(self.a), cutoff - self.shift - ev))
         steps = [(p, d, h, inv) for tail, base, inv in fp.infs
                  for p, d, h, _ in _steps(_poch_monos(tail, INF, base, n)[0], ())[2]]
-        a = self.a[:n]
-        D, top = _apply(a, self.D, min(self.top, n - 1), steps)
-        out = PartialProduct(a, D, top, self.scalar, self.shift, self.zeros)
+        out = self
+        if steps or n < len(self.a):
+            a = self.a[:n]
+            D, top = _apply(a, self.D, min(self.top, n - 1), steps)
+            out = PartialProduct(a, D, top, self.scalar, self.shift, self.zeros)
         for s in fp.extras:
             out = out.times_series(s)
         return out
@@ -361,31 +372,53 @@ class DenseSum:
             acc.extend([0] * (hi - len(acc)))
         acc[lo:hi] = map(add, acc[lo:hi], src if p == 1 else map(p.__mul__, src))
 
+    def add_plans(self, plans, cutoff):
+        """Add each plan (fp, seq, k): fp * seq(k), or fp alone when seq is
+        None, exact below ``cutoff`` wherever the term is; fp * seq(k) is
+        not built when its floor reaches the cutoff."""
+        for fp, seq, k in plans:
+            self.add(*(fp.part(cutoff) if seq is None else seq.part(fp, k, cutoff)))
+
     def series(self) -> Series:
         """The sum, exact below its cutoff; each coefficient is reduced once."""
         return _build(self.a, self.D, Fraction(1), self.base, self.cutoff)
 
 
-def truncated_sum(runs, at, cutoff, label) -> Series:
-    """Sum of the terms j = start, start + step, ... up to ``last`` inclusive,
-    for each (start, step, last) of ``runs``.
+def plans_floor(plans):
+    """The least valuation floor of the plans (fp, seq, k), each fp * seq(k)
+    or fp alone when seq is None: fp's valuation plus seq's certificate at
+    k.  INF for no plans."""
+    return min((fp.val_bound() + (0 if seq is None else seq.val_bound(k))
+                for fp, seq, k in plans), default=INF)
 
-    ``last`` may be INF or -INF.  ``at(j)`` returns ``(floor, parts)``: a
-    lower bound on the valuation of term j and a function of no arguments
-    that returns the term's kernel parts, (PartialProduct, c) pairs exact
-    below c, as ``FactorProduct.part_times`` hands them out.  A term whose
-    floor reaches ``cutoff`` is skipped without being built.  A
-    floor of None marks an index whose term is identically zero: it is
-    stepped past and not counted as a skip.  Every part of every run is
-    added to one ``DenseSum``, so the result is exact below the least of the
-    parts' cutoffs; it is not truncated to ``cutoff``.
+
+def sum_plans(plans, cutoff) -> Series:
+    """The sum of the plans (fp, seq, k), exact below ``cutoff`` wherever the
+    terms are: each term is added to one ``DenseSum`` as the kernel left it
+    (``DenseSum.add_plans``)."""
+    total = DenseSum(cutoff)
+    total.add_plans(plans, cutoff)
+    return total.series()
+
+
+def truncated_sum(runs, plans, cutoff, label) -> Series:
+    """Sum of the terms j = start, start + step, ... up to ``last`` inclusive,
+    for each (start, step, last) of ``runs``, exact below ``cutoff`` wherever
+    the terms are.
+
+    ``last`` may be INF or -INF.  ``plans(j)`` returns term j as a plan list
+    (see ``sum_plans``), or None at an index whose term is identically zero:
+    that index is stepped past and not counted as a skip.  A term whose
+    ``plans_floor`` reaches ``cutoff`` (an empty list among them) is skipped
+    and not built; every other term is added, as it is reached, to the one
+    ``DenseSum`` of all the runs.
 
     The stop rule is a heuristic, not a certificate: a run ends after
     ``_STREAK`` consecutive skipped terms, so a later term whose floor dips
     below the cutoff again is lost.  More than 10 * max(cutoff, 1) + 200
     steps in one run raise ``TruncationUnreachable(label)``.
     """
-    total = DenseSum(INF)
+    total = DenseSum(cutoff)
     cap = 10 * max(cutoff, 1) + 200
     for start, step, last in runs:
         streak = 0
@@ -395,17 +428,16 @@ def truncated_sum(runs, at, cutoff, label) -> Series:
             steps += 1
             if steps > cap:
                 raise TruncationUnreachable(label)
-            floor, parts = at(j)
-            if floor is None:
+            got = plans(j)
+            if got is None:
                 pass
-            elif floor >= cutoff:
+            elif plans_floor(got) >= cutoff:
                 streak += 1
                 if streak >= _STREAK:
                     break
             else:
                 streak = 0
-                for part, c in parts():
-                    total.add(part, c)
+                total.add_plans(got, cutoff)
             j += step
     return total.series()
 
@@ -580,19 +612,19 @@ def jtp_sum(z: QParam, cutoff, base: int = 2) -> Series:
     return out.truncate(cutoff)
 
 
-def triple_part(z: QParam, cutoff, base: int = 2, coeff=1, halves=0):
-    """coeff * x^halves * (Q, z, Q/z; Q)_oo as the kernel's state,
-    (PartialProduct, c) exact below c, for a ``DenseSum``."""
+def triple_part(z: QParam, base: int = 2, coeff=1, halves=0) -> FactorProduct:
+    """coeff * x^halves * (Q, z, Q/z; Q)_oo with Q = q^(base/2), as a
+    ``FactorProduct``."""
     Qp = QParam.finite(1, base)
     fp = FactorProduct().times_scalar(coeff).times_qpow(halves)
     for p in (Qp, z, Qp / z):
         fp.times_poch(p, INF, base)
-    return fp.part(cutoff)
+    return fp
 
 
 def triple_product(z: QParam, cutoff, base: int = 2) -> Series:
     """(Q, z, Q/z; Q)_oo with Q = q^(base/2): the product side of the identity."""
-    part, c = triple_part(z, cutoff, base)
+    part, c = triple_part(z, base).part(cutoff)
     return part.series(c)
 
 

@@ -11,10 +11,12 @@ Pochhammer symbol: the only patterns in which rho or sigma occur are
     (X/rho)_k and X/rho    -> (0)_k = 1 and 0        as rho -> oo
 
 so each formula is coded in that factored shape and the limits fall out
-structurally.  Transformed sequences are sums of FactorProduct coefficients
-times source-sequence values; valuation certificates are the factor-product
-valuations plus the source certificates, so the spot check in
-``BilateralSequence`` validates every propagated bound.
+structurally.  A transformed sequence at n is a list of plans (fp, seq, k),
+FactorProduct coefficients times source-sequence values, added by
+``qfunctions.sum_plans``; its valuation certificate is the plans'
+``plans_floor``, the factor-product valuations plus the source
+certificates, so the spot check in ``BilateralSequence`` validates every
+propagated bound.
 """
 
 from __future__ import annotations
@@ -25,22 +27,12 @@ from math import isqrt
 
 from .errors import BadParam, TruncationUnreachable, UnsupportedLimit
 from .qparams import Q, QParam
-from .qfunctions import DenseSum, FactorProduct, esym, fp_pp, qbinom, sign
+from .qfunctions import FactorProduct, esym, fp_pp, plans_floor, qbinom, sign, sum_plans
 from .pairs import BaileyPair, BilateralSequence
 from .series import INF, Series
 
 
-def _combine(plans, cutoff) -> Series:
-    """Sum of fp * seq(k) over (fp, seq, k) plans, exact below cutoff: each
-    term is added to one ``DenseSum`` as the kernel left it."""
-    total = DenseSum(cutoff)
-    for fp, seq, k in plans:
-        total.add(*seq.part(fp, k, cutoff))
-    return total.series()
-
-
-def _plans_vb(plans):
-    return min((fp.val_bound() + seq.val_bound(k) for fp, seq, k in plans), default=INF)
+_combine = sum_plans  # the name the tracer's ``transforms.seq`` span wraps
 
 
 def _seq_from_plans(plan_fn, support, name) -> BilateralSequence:
@@ -55,7 +47,7 @@ def _seq_from_plans(plan_fn, support, name) -> BilateralSequence:
 
     return BilateralSequence(
         lambda n, c: _combine(plans(n), c),
-        lambda n: _plans_vb(plans(n)),
+        lambda n: plans_floor(plans(n)),
         support=support,
         name=name,
     )
@@ -308,7 +300,7 @@ def f_direct(N: int, j: int, n: int, a: QParam, bs) -> Series:
     if not a.is_finite:
         raise BadParam("f_direct needs a finite relative parameter")
     neg = [-b for b in bs]
-    total = DenseSum(INF)
+    plans = []
     for M in range(0, N + 1):
         eM = esym(M, neg)
         if eM.is_zero_below_cutoff():
@@ -317,8 +309,8 @@ def f_direct(N: int, j: int, n: int, a: QParam, bs) -> Series:
             fp = FactorProduct().times_param_pow(a, u)
             fp.times_qpow(2 * ((M - j + u) * (n - j + u) + u * (n - N)))
             fp.times_series(qbinom(M, j - u)).times_series(qbinom(N - M, u))
-            total.add(*fp.part(INF, eM))
-    return total.series()
+            plans.append((fp.times_series(eM), None, None))
+    return sum_plans(plans, INF)
 
 
 def _ratio_j(a: QParam, N: int, n: int, j: int) -> FactorProduct:

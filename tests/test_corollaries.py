@@ -4,9 +4,10 @@ import pytest
 
 from qbailey.errors import BadParam
 from qbailey.qparams import QParam
-from qbailey.pairs import make_pair
-from qbailey.corollaries import corollary_sum, finite_n_check
-from qbailey.series import first_diff, series_equal
+from qbailey.pairs import BaileyPair, BilateralSequence, make_pair
+from qbailey.corollaries import _bilateral_alpha_sum, corollary_sum, finite_n_check
+from qbailey.qfunctions import FactorProduct
+from qbailey.series import INF, Series, first_diff, series_equal
 
 fin = QParam.finite
 inf = QParam.infinity
@@ -111,3 +112,16 @@ def test_finite_n_detects_corrupted_parameter():
                         40, False)
     _, diff = first_diff(lhs, rhs, 40)
     assert diff is not None
+
+
+@pytest.mark.parametrize("support, expo", [((6, INF), lambda n: 2 * n),
+                                           ((-INF, -6), lambda n: -2 * n)])
+def test_bilateral_alpha_sum_starts_inside_alpha_support(support, expo):
+    # alpha_n = q^(|n|) on a support that starts past the runs' default starts
+    # j = 0 and j = -1: four out-of-support indices must not end the sum
+    alpha = BilateralSequence(lambda n, c: Series.monomial(1, expo(n)).truncate(c), expo,
+                              support=support)
+    pair = BaileyPair(fin(1, 0), alpha, alpha)
+    got = _bilateral_alpha_sum(pair, lambda j: FactorProduct(), 20, "test")
+    assert got.cutoff == 20
+    assert got.terms == {12: 1, 14: 1, 16: 1, 18: 1}

@@ -3,15 +3,16 @@
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
 from qbailey import cli
 from qbailey.errors import BadParam, InvertZero, PoleError
 from qbailey.oracle import DenseSeries, dense_invert, dense_mul, sum_series
-from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, Valuation, poch,
-                               poch_recip, poch_val)
+from qbailey.pairs import BilateralSequence
+from qbailey.qfunctions import (DenseSum, FactorProduct, PartialProduct, Valuation, plans_floor,
+                                poch, poch_recip, poch_val, sum_plans)
 from qbailey.qparams import QParam
 from qbailey.series import INF, Series, product_at
 
@@ -382,6 +383,54 @@ def test_dense_sum_of_nothing_keeps_its_cutoff():
     assert got.cutoff == 17 and not got.terms
     total.add(PartialProduct([]), 9)  # zero, known only below x^9
     assert total.series().cutoff == 9
+
+
+# ---------------------------------------------------------------------------
+# plans: their floor and their sum against each plan's own series
+# ---------------------------------------------------------------------------
+
+@st.composite
+def plans(draw):
+    """A plan (fp, seq, k): a bare product (seq None) or a product times a
+    one-index sequence whose value at k is a drawn series, with a certificate
+    at or below its valuation (INF off its support)."""
+    fp = _fp(_flat(draw(multisets)), _flat(draw(multisets)))
+    fp.times_qpow(draw(st.integers(-6, 6)))
+    if draw(st.booleans()):
+        return fp, None, None
+    value = draw(seeds())
+    slack = draw(st.integers(0, 3))
+    k = draw(st.integers(-2, 2))
+    seq = BilateralSequence(lambda n, c: value.truncate(c), lambda n: value.val() - slack,
+                            support=(0, 0))
+    return fp, seq, k
+
+
+def _own_series(fp, seq, k, cutoff):
+    """The plan's own series, exact below ``cutoff``: fp alone, or fp times
+    seq(k) listed as far as the cutoff needs, and nothing built at or past
+    the cutoff."""
+    if seq is None:
+        return fp.series(cutoff)
+    v = fp.val_bound()
+    if v + seq.val_bound(k) >= cutoff:
+        return Series.zero(cutoff)
+    return fp.series(cutoff, seq(k, cutoff - v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(plans(), max_size=5), st.integers(-10, 30))
+@example([], 17)  # no plan: an INF floor, and the cutoff kept
+def test_sum_plans_is_the_sum_of_each_plans_own_series(drawn, cutoff):
+    floors = [plans_floor([p]) for p in drawn]
+    assert plans_floor(drawn) == min(floors, default=INF)
+    built = [Series(s.terms, s.cutoff) for s in (_own_series(*p, cutoff) for p in drawn)]
+    for s, f in zip(built, floors):
+        assert all(e >= f for e in s.terms)
+    got = sum_plans(drawn, cutoff)
+    want = sum_series(built, cutoff)
+    assert got.cutoff == want.cutoff
+    assert got.terms == want.terms
 
 
 # ---------------------------------------------------------------------------

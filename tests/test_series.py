@@ -8,7 +8,7 @@ import pytest
 from qbailey.series import INF, Series, first_diff, series_equal
 from qbailey.errors import InvertZero, TruncationUnreachable
 from qbailey.oracle import sum_series
-from qbailey.qfunctions import PartialProduct, truncated_sum
+from qbailey.qfunctions import FactorProduct, PartialProduct, truncated_sum
 
 
 def geometric(n, cutoff):
@@ -124,37 +124,63 @@ def _x(j):
     return PartialProduct([1], shift=j), INF
 
 
+def _floor(f):
+    """A FactorProduct of valuation f: x^f, or annihilated for INF."""
+    fp = FactorProduct()
+    return fp.times_scalar(0) if f == INF else fp.times_qpow(f)
+
+
+class Terms:
+    """A stand-in sequence for plans: its certificate is 0, so a plan
+    (_floor(f), seq, j) has floor f; ``part`` hands out term j as term(j),
+    whatever the plan's FactorProduct, and records j."""
+
+    def __init__(self, term=_x):
+        self.term = term
+        self.built = []
+
+    def val_bound(self, k):
+        return 0
+
+    def part(self, fp, k, cutoff):
+        self.built.append(k)
+        return self.term(k)
+
+
 def summed(floors, start=0, step=1, last=INF, cutoff=10):
-    """truncated_sum over terms x^j with the given floors; returns (sum, built js)."""
-    built = []
+    """truncated_sum over terms x^j with the given floors (None: no term);
+    returns (sum, built js)."""
+    seq = Terms()
 
-    def at(j):
-        def parts():
-            built.append(j)
-            return [_x(j)]
-        return floors(j), parts
+    def plans(j):
+        f = floors(j)
+        return None if f is None else [(_floor(f), seq, j)]
 
-    return truncated_sum([(start, step, last)], at, cutoff, "test sum"), built
+    return truncated_sum([(start, step, last)], plans, cutoff, "test sum"), seq.built
 
 
 def test_truncated_sum_never_builds_a_skipped_term():
-    def at(j):
-        if j == 2:
-            return 10, lambda: pytest.fail("term 2 was built")
-        return 0, lambda: [_x(j)]
+    class Unbuilt(Terms):
+        def part(self, fp, k, cutoff):
+            pytest.fail(f"term {k} was built")
 
-    out = truncated_sum([(0, 1, 4)], at, 10, "test sum")
+    seq, unbuilt = Terms(), Unbuilt()
+
+    def plans(j):
+        return [(_floor(10), unbuilt, j)] if j == 2 else [(_floor(0), seq, j)]
+
+    out = truncated_sum([(0, 1, 4)], plans, 10, "test sum")
     assert out.terms == {0: 1, 1: 1, 3: 1, 4: 1}
+    assert seq.built == [0, 1, 3, 4]
 
 
 def test_truncated_sum_reports_the_least_cutoff_of_its_parts():
     # x^j + x^(j+1), exact below cuts[j]; both directions go into one sum
     cuts = {-1: 6, 0: 9, 1: INF}
+    seq = Terms(lambda j: (PartialProduct([1, 1], top=1, shift=j), cuts[j]))
 
-    def at(j):
-        return 0, lambda: [(PartialProduct([1, 1], top=1, shift=j), cuts[j])]
-
-    out = truncated_sum([(0, 1, 1), (-1, -1, -1)], at, 10, "test sum")
+    out = truncated_sum([(0, 1, 1), (-1, -1, -1)], lambda j: [(_floor(0), seq, j)], 10,
+                        "test sum")
     want = sum_series([Series({j: 1, j + 1: 1}, c) for j, c in cuts.items()])
     assert out.cutoff == want.cutoff == 6
     assert out.terms == want.terms == {-1: 1, 0: 2, 1: 2, 2: 1}
@@ -189,10 +215,24 @@ def test_truncated_sum_raises_past_the_step_cap():
 
 
 def test_truncated_sum_does_not_count_identically_zero_indices():
-    # five None floors in a row, then a live term: the Nones are no skips
+    # five indices with no term in a row, then a live term: they are no skips
     out, built = summed(lambda j: None if j < 5 else (0 if j == 5 else INF))
     assert built == [5]
     assert out.terms == {5: 1}
+
+
+def test_truncated_sum_counts_an_empty_plan_list_as_a_skip():
+    seq = Terms()
+    calls = []
+
+    def plans(j):
+        calls.append(j)
+        return [(_floor(0), seq, j)] if j < 2 else []
+
+    out = truncated_sum([(0, 1, INF)], plans, 10, "test sum")
+    assert calls == [0, 1, 2, 3, 4, 5]
+    assert seq.built == [0, 1]
+    assert out.terms == {0: 1, 1: 1}
 
 
 @pytest.mark.xfail(strict=True, reason="the stop rule is a heuristic: four skipped "
