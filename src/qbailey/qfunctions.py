@@ -41,14 +41,14 @@ steps wherever it is expanded:
   4. ``exact_below`` states the cutoff below which the list is exact, and
      ``series`` reduces each coefficient to lowest terms once (``_build``).
 
-``FactorProduct.part`` runs the steps once, on its seed.  A multisum walk
-runs them level by level: it keeps one ``PartialProduct`` per level, so that
-each level's factors are applied once to a list its chains share (see
-``multisum``).  ``DenseSum`` adds such lists, without step 4's reduction,
-into one int list over one common denominator, one integer multiply per
-entry, and reduces each coefficient of the sum once.
+``FactorProduct.part`` runs the steps once, on its seed.  The multisum
+evaluator runs them once per node and once per edge of its level graph: each
+level's factors are applied once to the sum of everything below the node,
+``DenseSum.part`` (see ``multisum``).  ``DenseSum`` adds such lists, without
+step 4's reduction, into one int list over one common denominator, one
+integer multiply per entry, and reduces each coefficient of the sum once.
 
-Every engine sum but the multisum walk's is a list of plans (fp, seq, k),
+Every engine sum but the multisum's is a list of plans (fp, seq, k),
 each meaning fp * seq(k), or fp alone when seq is None.  ``plans_floor`` reads a list's
 valuation floor off its factor products and the sequences' certificates,
 and ``sum_plans`` adds the list into one ``DenseSum``: the terms of a
@@ -215,8 +215,8 @@ class PartialProduct:
     factors meet only in the count, and every other factor is a unit, so
     dividing one back out is exact.  ``times_rest`` adds the infinite tails
     and the series of a ``FactorProduct``.  ``FactorProduct.part`` takes the
-    three steps once; a multisum walk carries one state per level.  ``a`` is
-    None once a factor annihilated the product.
+    three steps once; the multisum evaluator carries one state per node and
+    edge.  ``a`` is None once a factor annihilated the product.
     """
 
     __slots__ = ("a", "D", "top", "scalar", "shift", "zeros")
@@ -378,6 +378,13 @@ class DenseSum:
         not built when its floor reaches the cutoff."""
         for fp, seq, k in plans:
             self.add(*(fp.part(cutoff) if seq is None else seq.part(fp, k, cutoff)))
+
+    def part(self, zeros) -> PartialProduct:
+        """The sum as a ``PartialProduct`` with ``zeros`` (1 - x^0) factors,
+        its list padded to the sum's cutoff, so exact below it."""
+        pad = [] if self.cutoff == INF else [0] * (self.cutoff - self.base - len(self.a))
+        return PartialProduct(self.a + pad, self.D, max(len(self.a) - 1, 0),
+                              shift=self.base, zeros=zeros)
 
     def series(self) -> Series:
         """The sum, exact below its cutoff; each coefficient is reduced once."""
@@ -867,9 +874,9 @@ class Valuation:
     min(0, h) for each numerator factor (1 - c x^h) less that of each
     denominator factor, plus the ``extras``' valuations; INF once a factor
     annihilates the product.  Nothing cancels, so a (1 - x^0) factor counts
-    as a unit: a multisum walk carries those factors as a count across its
-    levels, and its level floors are read off the levels' own code this way
-    (see ``multisum``)."""
+    as a unit: the multisum evaluator carries those factors as a count
+    across its levels, and its level floors are read off the levels' own
+    code this way (see ``multisum``)."""
 
     __slots__ = ("v",)
 

@@ -287,6 +287,30 @@ def test_domain_text_is_the_domain_check():
                     assert accepted == documented, (desc.name, point, desc.domain_doc)
 
 
+def test_every_classical_row_passes_at_the_smallest_cutoffs():
+    # a multisum node's exactness is most fragile where the cutoff leaves
+    # one or two terms: every point of each documented domain with m <= 3
+    # and r <= 4, at cutoffs 1, 2 and 7
+    from qbailey.catalog import CATALOG
+    classical = [d for d in CATALOG.values() if not d.qparam_params and not d.list_params]
+    for desc in classical:
+        points = set()
+        for m in range(4):
+            for r in range(5):
+                for i in range(r + 2):
+                    point = {"m": m, "r": r, "i": i}
+                    try:
+                        desc.validate(point)
+                    except BadParam:
+                        continue
+                    points.add(tuple((k, point[k]) for k in desc.int_params))
+        assert points, desc.name
+        for point in sorted(points):
+            for cutoff in (1, 2, 7):
+                rep = evaluate_identity(desc.name, dict(point), cutoff)
+                assert rep.passed and rep.compared == cutoff, (desc.name, point, cutoff)
+
+
 def test_identity_names_exposed():
     names = identity_names()
     for expected in ("rr", "ag", "mag", "gg", "bressoud_master", "lambda1"):

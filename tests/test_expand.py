@@ -337,7 +337,7 @@ def partial_products(draw):
     part = PartialProduct(a, draw(st.integers(1, 36)), top, draw(coeffs),
                           draw(st.integers(-15, 15)),
                           {"list": 0, "zero": 1, "pole": -1}[kind])
-    # exact below shift + len(a), as in a multisum walk, below less, or past
+    # exact below shift + len(a), as in a multisum node, below less, or past
     # the list where its remaining entries are zero
     cut = draw(st.one_of(st.just(part.shift + len(a)), st.just(INF),
                          st.integers(part.shift - 2, part.shift + len(a) + 3)))
@@ -383,6 +383,33 @@ def test_dense_sum_of_nothing_keeps_its_cutoff():
     assert got.cutoff == 17 and not got.terms
     total.add(PartialProduct([]), 9)  # zero, known only below x^9
     assert total.series().cutoff == 9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(partial_products(), kernel_results()), max_size=5),
+       st.one_of(st.just(INF), st.integers(-10, 30)), st.integers(-2, 2))
+@example([], 12, 0)  # an empty sum
+def test_a_dense_sum_as_a_part_is_the_sum(parts, cutoff, zeros):
+    total = DenseSum(cutoff)
+    for p, c in parts:
+        if p.a is None or p.zeros >= 0:
+            total.add(p, c)
+    want = total.series()
+    part = total.part(zeros)
+    assert part.zeros == zeros
+    if total.a and total.cutoff != INF:  # the list reaches the sum's cutoff
+        assert part.shift + len(part.a) == total.cutoff
+    uncounted = PartialProduct(part.a, part.D, part.top, part.scalar, part.shift)
+    got = uncounted.series(total.cutoff)
+    assert got.cutoff == want.cutoff and got.terms == want.terms
+    if zeros < 0:
+        with pytest.raises(PoleError):
+            part.series(total.cutoff)
+    elif zeros > 0:
+        assert part.series(total.cutoff).is_zero_below_cutoff()
+    else:
+        got = part.series(total.cutoff)
+        assert got.cutoff == want.cutoff and got.terms == want.terms
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The nested-sum evaluator: its seeded walk against a per-chain reference."""
+"""The nested-sum evaluator, level by level, against a per-chain reference."""
 
 import dataclasses
 from fractions import Fraction
@@ -245,7 +245,7 @@ def test_an_uncancelled_pole_raises():
 
 
 # ---------------------------------------------------------------------------
-# the emission hook, wrapped the way a tracer wraps it
+# the node hook, wrapped the way a tracer wraps it
 # ---------------------------------------------------------------------------
 
 def _ag_level(acc, d, s):
@@ -266,33 +266,40 @@ def _ag_spec(level_floor=None):
 def _traced(spec, cutoff):
     """multisum_eval with ``spec.term`` wrapped as perfbench/tracing.py wraps
     it: ``dataclasses.replace``, call the original, read ``terms`` of what it
-    returns.  Also returns (chain, least exponent of its terms) per call."""
+    returns.  Also returns (node, least exponent of its terms, its floor) per
+    call."""
     calls = []
 
-    def term(chain, leaf):
-        t = spec.term(chain, leaf)
-        calls.append((chain, min(t.terms) if t.terms else None))
+    def term(node, leaf):
+        t = spec.term(node, leaf)
+        calls.append((node, min(t.terms) if t.terms else None, t.floor))
         return t
 
     return multisum_eval(dataclasses.replace(spec, term=term), cutoff), calls
 
 
-def test_a_wrapped_hook_sees_every_chain_once_and_leaves_the_sum_alone():
+def test_a_wrapped_hook_sees_every_node_once_and_leaves_the_sum_alone():
     cutoff = 60
     spec = _ag_spec()
     got, calls = _traced(spec, cutoff)
     plain = multisum_eval(spec, cutoff)
-    chains = [c for c in _chains(2, 0, None, 12) if spec.val_floor(c) < cutoff]
-    want = {}
-    for chain in chains:
-        t = _chain_product(spec, chain).series(cutoff)
-        want[chain] = min(t.terms) if t.terms else None
+    chains = [c for c in _chains(2, 0, None, 12)
+              if sum(spec.level_floor(d, s) for d, s in enumerate(c, 1)) < cutoff]
     assert got.cutoff == plain.cutoff == cutoff and got.terms == plain.terms
     assert got.terms == sum_series(
         [_chain_product(spec, c).series(cutoff) for c in chains], cutoff).terms
-    assert sorted(c for c, _ in calls) == sorted(chains)  # once per emitted chain
-    assert dict(calls) == want  # min(t.terms) is the chain's term valuation
-    assert all(v == spec.val_floor(c) for c, v in calls)
+    nodes = [node for node, _, _ in calls]
+    assert len(nodes) == len(set(nodes))  # once per node: no (1 - x^0) count splits one
+    assert set(nodes) >= {(d, s) for c in chains for d, s in enumerate(c, 1)}
+    assert all(low is None or low >= floor for _, low, floor in calls)
+
+
+def test_a_traced_zero_and_pole_on_different_levels_cancel():
+    # the tracer reads ``terms`` of every node part, whatever its count
+    plain = multisum_eval(_split_unit_spec(None, None), 40)
+    got, calls = _traced(_split_unit_spec(False, True), 40)
+    assert got.cutoff == plain.cutoff == 40 and got.terms == plain.terms
+    assert (1, 1) in [node for node, _, _ in calls]
 
 
 def test_a_wrapped_hook_still_checks_the_chain_floor():
@@ -302,3 +309,38 @@ def test_a_wrapped_hook_still_checks_the_chain_floor():
         _traced(spec, 40)
     with pytest.raises(CertificateViolation):
         multisum_eval(spec, 40)
+
+
+# ---------------------------------------------------------------------------
+# depth-4 catalog sums against the per-chain reference
+# ---------------------------------------------------------------------------
+
+def _catalog_spec(name, params, monkeypatch):
+    """The MultisumSpec that the catalog's left side of ``name`` evaluates."""
+    from qbailey import catalog
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "multisum_eval", lambda spec, cutoff: got.append(spec))
+        catalog.CATALOG[name].lhs(params, 1)
+    return got[0]
+
+
+@pytest.mark.parametrize("name, params", [("ag", {"r": 5, "i": 4}),
+                                          ("mag", {"m": 3, "r": 4, "i": 4})])
+@pytest.mark.parametrize("cutoff", [1, 2, 7, 20, 36])
+def test_depth_four_catalog_sums_equal_the_per_chain_sum(name, params, cutoff, monkeypatch):
+    # mag's chains start at lower_bound -1 and its innermost index is capped
+    # at 0; in the box s_1 <= 8, level 1's q-power alone is past the cutoff
+    # at s_1 = 8 and the other levels' valuations are at least -2 each
+    spec = _catalog_spec(name, params, monkeypatch)
+    assert spec.depth == 4
+    out = []
+    for chain in _chains(4, spec.lower_bound, spec.last_upper, 8):
+        fp = _chain_product(spec, chain)
+        if fp.val_bound() < cutoff:
+            assert chain[0] < 8, "the box is too narrow"
+            out.append(fp.series(cutoff))
+    want = sum_series(out, cutoff)
+    got = multisum_eval(spec, cutoff)
+    assert got.cutoff == want.cutoff == cutoff
+    assert got.terms == want.terms
